@@ -262,16 +262,25 @@ class Idyll:
         return self.null_terms(terms)
 
     def sum_set(self, a, b) -> SumSet:
-        """{c : a + b - c is null}. Finite carriers scan; closed forms override."""
-        if self.elements is None:
-            raise UnsupportedOperationError(
-                f"{self.name} has no finite enumeration and no sum-set closed form"
+        """{c : a + b - c is null}. Finite carriers scan; closed forms override.
+
+        Each scanned pair is kept in a per-idyll table, filled on first use,
+        so a carrier of size q holds at most q*q sum sets.
+        """
+        table = self.__dict__.setdefault("_sum_sets", {})
+        s = table.get((a, b))
+        if s is None:
+            if self.elements is None:
+                raise UnsupportedOperationError(
+                    f"{self.name} has no finite enumeration and no sum-set closed form"
+                )
+            eps = self.epsilon
+            s = table[(a, b)] = SumSet(
+                frozenset(
+                    c for c in self.elements if self.is_null([a, b, self.mul(eps, c)])
+                )
             )
-        eps = self.epsilon
-        core = frozenset(
-            c for c in self.elements if self.is_null([a, b, self.mul(eps, c)])
-        )
-        return SumSet(core)
+        return s
 
     def third_summands(self, a, b) -> SumSet:
         """{c : a + b + c is null} — the sum set scaled by epsilon."""

@@ -45,7 +45,7 @@ from .oag import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExtElement:
     """(unit, level) with a nonzero base unit, or the zero (None, None)."""
 
@@ -241,15 +241,17 @@ class ExtensionDescriptor(Idyll):
     def sum_set(self, a: ExtElement, b: ExtElement) -> SumSet:
         if a.is_zero and b.is_zero:
             return SumSet(frozenset({EXT_ZERO}))
-        if a.is_zero or b.is_zero:
-            low, level = (b, b.level) if a.is_zero else (a, a.level)
-            ws = self._base_sum_set(low.unit, self.base.zero)
-            return SumSet(frozenset(ExtElement(w, level) for w in ws.core))
-        c = oag_cmp(a.level, b.level)
+        c = -1 if b.is_zero else 1 if a.is_zero else oag_cmp(a.level, b.level)
         if c != 0:
+            # the lower term decides alone; the element equal to it is reused,
+            # so quotients share coefficient objects with the divided polynomial
             low = a if c < 0 else b
             ws = self._base_sum_set(low.unit, self.base.zero)
-            return SumSet(frozenset(ExtElement(w, low.level) for w in ws.core))
+            return SumSet(
+                frozenset(
+                    low if w == low.unit else ExtElement(w, low.level) for w in ws.core
+                )
+            )
         ws = self._base_sum_set(a.unit, b.unit)
         core = set()
         tail_above = None

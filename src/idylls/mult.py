@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
     FiniteFieldIdyll,
     ForeignElementError,
-    FormalSum,
     KrasnerIdyll,
     OagIdyll,
     RationalFieldIdyll,
@@ -29,7 +29,7 @@ from .algebra import (
     UnsupportedOperationError,
 )
 from .extension import EXT_ZERO, ExtElement, ExtensionDescriptor
-from .newton import _as_extension_poly, initial_form_at
+from .newton import _as_extension_poly, initial_form_at, lower_hull
 from .oag import (
     INFINITY,
     OagValue,
@@ -59,6 +59,8 @@ def _effective_cap(cap=None) -> int:
 
 
 class _Budget:
+    """States left for one query; every division step of the query spends it."""
+
     __slots__ = ("remaining", "cap")
 
     def __init__(self, cap: int):
@@ -72,6 +74,13 @@ class _Budget:
                 f"division search exceeded {self.cap} states; "
                 "raise the cap or set IDYLL_SEARCH_CAP"
             )
+
+
+def _budget(cap) -> _Budget:
+    """The budget to spend: a caller's shared one, or a fresh one for cap."""
+    if isinstance(cap, _Budget):
+        return cap
+    return _Budget(_effective_cap(cap))
 
 
 @dataclass(frozen=True)
@@ -125,7 +134,9 @@ def divide_once(f: Polynomial, a, tails: str = "auto", cap: int = None) -> list:
     that matters must eventually tie a coefficient level from below, and a
     self-cancelling run only needs some level strictly between two coefficient
     levels. tails="grid" uses the larger `quotient_level_grid` pool instead;
-    tails="none" disables tail branching (sound but incomplete).
+    tails="none" disables tail branching (sound but incomplete). cap bounds
+    the search states of this call; `multiplicity` passes its own budget
+    instead, so that one cap bounds the whole chain search.
     """
     B = f.idyll
     if not B.contains(a):
@@ -137,26 +148,31 @@ def divide_once(f: Polynomial, a, tails: str = "auto", cap: int = None) -> list:
         return []
     if tails not in ("auto", "grid", "none"):
         raise ValueError(f"unknown tails mode {tails!r}")
-    budget = _Budget(_effective_cap(cap))
-    pools = None
+    budget = _budget(cap)
+    pool = None
 
-    def tail_candidates(position):
-        nonlocal pools
-        if tails == "none":
+    def tail_candidates(position, above):
+        # the pool offers level t at position j as t - shift; only levels
+        # strictly above the tail bound make elements
+        nonlocal pool
+        if pool is None:
+            pool = _tail_pool(f, a, tails)
+        levels, gamma, units = pool
+        if not levels:
             return []
-        if pools is None:
-            if tails == "grid":
-                flat = _grid_pool(f, a)
-                pools = [flat] * n
-            else:
-                pools = _auto_tail_pools(f, a)
-        return pools[position]
+        shift = oag_scale(gamma, position + 1)
+        bound = oag_add(above, shift).coords
+        out = []
+        for t in levels[bisect_right(levels, bound, key=_coords) :]:
+            t = oag_sub(t, shift)
+            out += [t] if units is None else [ExtElement(u, t) for u in units]
+        return out
 
     def choices(s: SumSet, position):
         out = list(s.core)
         if s.tail_above is not None:
-            for x in tail_candidates(position):
-                if x not in s.core and oag_cmp(s.tail_val(x), s.tail_above) > 0:
+            for x in tail_candidates(position, s.tail_above):
+                if x not in s.core:
                     out.append(x)
         return out
 
@@ -165,7 +181,7 @@ def divide_once(f: Polynomial, a, tails: str = "auto", cap: int = None) -> list:
     def descend(i, d_i, suffix):
         budget.spend()
         if i == 0:
-            if B.is_null(FormalSum(B, [f.coeff(0), B.mul(a, d_i)])):
+            if B.is_null((f.coeff(0), B.mul(a, d_i))):
                 results.append(suffix)
             return
         for d_prev in choices(B.sum_set(f.coeff(i), B.mul(a, d_i)), i - 1):
@@ -178,17 +194,30 @@ def divide_once(f: Polynomial, a, tails: str = "auto", cap: int = None) -> list:
     return sorted(polys, key=lambda g: tuple(B.sort_key(c) for c in g.coeffs))
 
 
+def _coords(g: OagValue) -> tuple:
+    return g.coords
+
+
 def _with_midpoints(levels: list) -> list:
     out = list(levels)
     for x, y in zip(levels, levels[1:]):
         out.append(oag_div(oag_add(x, y), 2))
-    return sorted(set(out), key=lambda g: g.coords)
+    return sorted(set(out), key=_coords)
 
 
-def _auto_tail_pools(f: Polynomial, a) -> list:
-    """Per-position tail candidates: shifted support levels and midpoints."""
+def _tail_pool(f: Polynomial, a, tails: str) -> tuple:
+    """Tail candidates as (levels, gamma, units), levels ascending.
+
+    Position j offers every unit at level t - (j+1)*gamma for each t in
+    levels; units is None where the elements are the levels themselves. The
+    auto pool takes the shifted support levels and their midpoints with
+    gamma the level of a; the grid pool is already shifted, so gamma is 0.
+    Finite idylls scan their whole carrier, so their sum sets never have
+    tails and the pool stays empty, as it does for tails="none".
+    """
     B = f.idyll
-    n = f.degree
+    if tails == "none":
+        return [], None, None
     if isinstance(B, ExtensionDescriptor):
         if B.base.elements is None:
             raise UnsupportedOperationError(
@@ -196,46 +225,22 @@ def _auto_tail_pools(f: Polynomial, a) -> list:
                 f"{B.base.name} has infinitely many units"
             )
         units = [u for u in B.base.elements if not B.base.is_zero(u)]
+        if tails == "grid":
+            levels = [] if a.is_zero else quotient_level_grid(f, a)
+            return levels, oag_zero(B.rank), units
         gamma = a.level
-        shifted = sorted(
-            {oag_add(f.coeffs[i].level, oag_scale(gamma, i)) for i in f.support},
-            key=lambda g: g.coords,
-        )
-        levels = _with_midpoints(shifted)
-        pools = []
-        for j in range(n):
-            shift = oag_scale(gamma, j + 1)
-            pools.append(
-                [ExtElement(u, oag_sub(t, shift)) for t in levels for u in units]
-            )
-        return pools
-    if isinstance(B, OagIdyll):
-        shifted = sorted(
-            {oag_add(f.coeffs[i], oag_scale(a, i)) for i in f.support},
-            key=lambda g: g.coords,
-        )
-        levels = _with_midpoints(shifted)
-        return [
-            [oag_sub(t, oag_scale(a, j + 1)) for t in levels] for j in range(n)
-        ]
-    # finite idylls scan their whole carrier, so sum sets never have tails
-    return [[] for _ in range(n)]
-
-
-def _grid_pool(f: Polynomial, a) -> list:
-    B = f.idyll
-    if not isinstance(B, ExtensionDescriptor):
-        return []
-    if B.base.elements is None:
-        raise UnsupportedOperationError(
-            "grid tails need a finite base to enumerate units"
-        )
-    if a.is_zero:
-        return []
-    units = [u for u in B.base.elements if not B.base.is_zero(u)]
-    return [
-        ExtElement(u, g) for g in quotient_level_grid(f, a) for u in units
-    ]
+        support_levels = [f.coeffs[i].level for i in f.support]
+    elif isinstance(B, OagIdyll) and tails == "auto":
+        units = None
+        gamma = a
+        support_levels = [f.coeffs[i] for i in f.support]
+    else:
+        return [], None, None
+    shifted = sorted(
+        {oag_add(v, oag_scale(gamma, i)) for v, i in zip(support_levels, f.support)},
+        key=_coords,
+    )
+    return _with_midpoints(shifted), gamma, units
 
 
 def quotient_level_grid(f: Polynomial, a: ExtElement) -> list:
@@ -265,7 +270,11 @@ def quotient_level_grid(f: Polynomial, a: ExtElement) -> list:
 
 
 def multiplicity(f: Polynomial, a, cap: int = None) -> tuple:
-    """Longest division chain at a, by exhaustive search: (count, chain)."""
+    """Longest division chain at a, by exhaustive search: (count, chain).
+
+    cap (or IDYLL_SEARCH_CAP) bounds the search states of the whole query,
+    summed over every division step of the chain search.
+    """
     B = f.idyll
     if not B.contains(a):
         raise ForeignElementError(f"{a!r} is not an element of {B.name}")
@@ -275,24 +284,29 @@ def multiplicity(f: Polynomial, a, cap: int = None) -> tuple:
         k = f.support[0]
         quotients = tuple(f.shift_down(j) for j in range(1, k + 1))
         return k, FactorizationChain(f, a, quotients)
-    budget_cap = _effective_cap(cap)
-    memo = {}
-
-    def longest(poly):
-        key = poly.coeffs
-        if key in memo:
-            return memo[key]
-        memo[key] = (0, ())
-        best = (0, ())
-        for g in divide_once(poly, a, cap=budget_cap):
-            m, suffix = longest(g)
-            if 1 + m > best[0]:
-                best = (1 + m, (g,) + suffix)
-        memo[key] = best
-        return best
-
-    m, quotients = longest(f)
+    m, quotients = _longest_chain(f, a, "auto", _budget(cap), {})
     return m, FactorizationChain(f, a, quotients)
+
+
+def _longest_chain(poly: Polynomial, a, tails: str, budget: _Budget, memo: dict):
+    """(length, quotients) of a longest division chain from poly at a.
+
+    Every division step spends the one budget. A module-level recursion
+    rather than a nested one: a closure that calls itself is a reference
+    cycle, which would keep the memo of a finished query alive until the
+    next full garbage collection.
+    """
+    key = poly.coeffs
+    if key in memo:
+        return memo[key]
+    memo[key] = (0, ())
+    best = (0, ())
+    for g in divide_once(poly, a, tails=tails, cap=budget):
+        m, suffix = _longest_chain(g, a, tails, budget, memo)
+        if 1 + m > best[0]:
+            best = (1 + m, (g,) + suffix)
+    memo[key] = best
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -506,26 +520,15 @@ def _rational_candidates(f: Polynomial) -> list:
 
 
 def _extension_candidate_levels(f: Polynomial) -> list:
-    E = f.idyll
-    support = f.support
-    vals = {i: f.coeffs[i].level for i in support}
-    levels = set()
-    for ai, i in enumerate(support):
-        for j in support[ai + 1 :]:
-            gamma = oag_div(oag_sub(vals[i], vals[j]), j - i)
-            best = None
-            hits = 0
-            for k in support:
-                val = oag_add(vals[k], oag_scale(gamma, k))
-                c = -1 if best is None else oag_cmp(val, best)
-                if c < 0:
-                    best = val
-                    hits = 1
-                elif c == 0:
-                    hits += 1
-            if hits >= 2:
-                levels.add(gamma)
-    return sorted(levels, key=lambda g: g.coords)
+    """Levels where min v(c_i) + i*level is attained twice, ascending.
+
+    These are the negated edge slopes of the lower hull of (i, v(c_i)).
+    """
+    hull = lower_hull([(i, f.coeffs[i].level) for i in f.support])
+    levels = [
+        oag_div(oag_sub(v, w), j - i) for (i, v), (j, w) in zip(hull, hull[1:])
+    ]
+    return levels[::-1]
 
 
 def root_candidates(f: Polynomial) -> list:

@@ -26,6 +26,8 @@ from .oag import (
     oag_cmp,
     oag_project_head,
     oag_scale,
+    oag_sub,
+    oag_zero,
 )
 from .poly import Polynomial
 
@@ -96,8 +98,30 @@ def _as_extension_poly(f: Polynomial) -> Polynomial:
     raise StructuralError(f"{B.name} carries no valuation levels")
 
 
-def _cross(o, a, b) -> Fraction:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+def _cross(o, a, b) -> OagValue:
+    """(a - o) x (b - o) for points (index, level); its sign is the turn."""
+    return oag_sub(
+        oag_scale(oag_sub(b[1], o[1]), a[0] - o[0]),
+        oag_scale(oag_sub(a[1], o[1]), b[0] - o[0]),
+    )
+
+
+def lower_hull(points: list) -> list:
+    """Vertices of the lower convex hull of points (i, v), i increasing.
+
+    v is a finite value of any rank, ordered lexicographically, so the same
+    monotone chain serves every rank. Collinear middle points are dropped, so
+    consecutive vertices span maximal edges. For the edge from (i, v) to
+    (j, w) and g = (v - w)/(j - i), the minimum of v' + i'*g over all points
+    (i', v') is attained exactly at the points on that edge.
+    """
+    hull = []
+    zero = oag_zero(points[0][1].rank) if points else None
+    for p in points:
+        while len(hull) >= 2 and oag_cmp(_cross(hull[-2], hull[-1], p), zero) <= 0:
+            hull.pop()
+        hull.append(p)
+    return hull
 
 
 def newton_polygon(f: Polynomial) -> NewtonPolygon:
@@ -108,12 +132,9 @@ def newton_polygon(f: Polynomial) -> NewtonPolygon:
         raise StructuralError("newton polygon needs a rank-1 value group")
     if f.is_zero:
         raise StructuralError("the zero polynomial has no newton polygon")
-    pts = tuple((i, f.coeffs[i].level.coords[0]) for i in f.support)
-    hull = []
-    for p in pts:
-        while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) <= 0:
-            hull.pop()
-        hull.append(p)
+    points = [(i, f.coeffs[i].level) for i in f.support]
+    pts = tuple((i, v.coords[0]) for i, v in points)
+    hull = [(i, v.coords[0]) for i, v in lower_hull(points)]
     edges = tuple(
         Edge(
             Fraction(b[1] - a[1], b[0] - a[0]),

@@ -26,7 +26,7 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OagValue:
     """One element of a value group: a rational vector, or the absorbing inf.
 

@@ -27,6 +27,8 @@ from .extension import ExtElement, signed_tropical, tropical
 from .mult import (
     FactorizationChain,
     SearchCapExceeded,
+    _budget,
+    _longest_chain,
     divide_once,
     is_root,
     mult_closed_form,
@@ -106,7 +108,8 @@ def bounded_extension_oracle(f: Polynomial, a: ExtElement, cap: int = None):
     The per-step choices include every base unit at every level of the
     quotient grid, which covers all witness coefficients, so a completed
     search is a true upper bound as well as a lower one. A capped-out search
-    reports conclusive=False with count -1.
+    reports conclusive=False with count -1. cap bounds the states of the
+    whole search, as in `multiplicity`.
     """
     B = f.idyll
     if f.is_zero:
@@ -114,23 +117,8 @@ def bounded_extension_oracle(f: Polynomial, a: ExtElement, cap: int = None):
     if a.is_zero:
         m, chain = multiplicity(f, a)
         return m, chain, True
-    memo = {}
-
-    def longest(poly):
-        key = poly.coeffs
-        if key in memo:
-            return memo[key]
-        memo[key] = (0, ())
-        result = (0, ())
-        for g in divide_once(poly, a, tails="grid", cap=cap):
-            m, suffix = longest(g)
-            if 1 + m > result[0]:
-                result = (1 + m, (g,) + suffix)
-        memo[key] = result
-        return result
-
     try:
-        m, quotients = longest(f)
+        m, quotients = _longest_chain(f, a, "grid", _budget(cap), {})
     except SearchCapExceeded:
         return -1, None, False
     return m, FactorizationChain(f, a, quotients), True

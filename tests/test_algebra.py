@@ -327,6 +327,20 @@ def test_sum_set_iteration_hits_core_only():
     assert oag(99) in s  # but the tail still answers membership
 
 
+@pytest.mark.parametrize(
+    "B", [krasner(), sign_idyll(), f1pm(), quotient_hyperfield(7, {1, 2, 4})]
+)
+def test_memoised_sum_sets_match_a_fresh_scan(B):
+    for a in B.elements:
+        for b in B.elements:
+            fresh = frozenset(
+                c for c in B.elements if B.is_null([a, b, B.mul(B.epsilon, c)])
+            )
+            first = B.sum_set(a, b)
+            assert first == fresh
+            assert B.sum_set(a, b) is first
+
+
 # -- axiom harness -------------------------------------------------------------
 
 

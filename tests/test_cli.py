@@ -10,6 +10,7 @@ from idylls.algebra import ParseError, krasner, rational_field, sign_idyll
 from idylls.extension import signed_tropical, tropical
 from idylls.cli import (
     DEMO_NAMES,
+    build_parser,
     main,
     parse_idyll_name,
     parse_poly,
@@ -205,6 +206,21 @@ def test_roots_subcommand(capsys):
     found = {r["at"]: r["multiplicity"] for r in out["roots"]}
     assert found == {"1": 2, "-1": 1}
     assert out["total"] == 3 and out["degree"] == 3
+
+
+def test_back_to_back_subcommands_do_not_leak(capsys):
+    roots = ["roots", "--idyll", "trop-real", "--poly", "1 - x + 1^1*x^2", "--json"]
+    mult = ["mult", "--idyll", "sign", "--poly", "1 - x - x^2 + x^3", "--at", "1"]
+    expected = {}
+    for argv in (roots, mult):
+        args = build_parser().parse_args(argv)
+        assert args.func(args) == 0
+        expected[argv[0]] = capsys.readouterr().out
+    json.loads(expected["roots"])
+    assert not expected["mult"].lstrip().startswith("{")
+    for argv in (roots, mult, roots, mult):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected[argv[0]]
 
 
 def test_divide_subcommand(capsys):

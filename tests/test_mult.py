@@ -234,6 +234,16 @@ def test_env_cap_override(monkeypatch):
     assert multiplicity(f, 1)[0] == 5
 
 
+def test_cap_bounds_the_whole_query():
+    # every division step stays under 40 states; the chain search needs 213
+    f = Polynomial(T, [T.elem(1, 0)] * 7)
+    with pytest.raises(SearchCapExceeded):
+        multiplicity(f, T.elem(1, 0), cap=40)
+    with pytest.raises(SearchCapExceeded):
+        multiplicity(f, T.elem(1, 0), cap=212)
+    assert multiplicity(f, T.elem(1, 0), cap=213)[0] == 6
+
+
 # -- root candidates ------------------------------------------------------------
 
 

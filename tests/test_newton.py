@@ -1,5 +1,6 @@
 """Lower hulls, initial forms, and the higher-rank recursion."""
 
+import itertools
 import json
 import random
 import xml.etree.ElementTree as ET
@@ -8,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 from idylls.algebra import StructuralError, krasner, oag_idyll, sign_idyll
-from idylls.extension import signed_tropical, trop_extension, tropical
+from idylls.extension import ExtElement, signed_tropical, trop_extension, tropical
+from idylls.mult import root_candidates
 from idylls.newton import (
     initial_form_at,
     initial_form_recursive,
@@ -17,7 +19,7 @@ from idylls.newton import (
     newton_polygon,
     render_polygon,
 )
-from idylls.oag import INFINITY, oag, oag_add, oag_cmp, oag_scale
+from idylls.oag import INFINITY, oag, oag_add, oag_cmp, oag_div, oag_scale, oag_sub
 from idylls.poly import Polynomial
 
 T = tropical()
@@ -126,6 +128,47 @@ def test_hull_argmin_duality():
             hull_min = min(v + i * s for i, v in p.points)
             geo = {i for i, v in p.points if v + i * s == hull_min}
             assert argmin == geo == line
+
+
+def _pairwise_candidate_levels(f):
+    """Reference: each level through two support points at which the
+    minimum of v(c_k) + k*level is attained at least twice."""
+    vals = {i: f.coeffs[i].level for i in f.support}
+    levels = set()
+    for i, j in itertools.combinations(f.support, 2):
+        gamma = oag_div(oag_sub(vals[i], vals[j]), j - i)
+        shifted = [oag_add(vals[k], oag_scale(gamma, k)) for k in f.support]
+        best = min(shifted, key=lambda v: v.coords)
+        if sum(oag_cmp(v, best) == 0 for v in shifted) >= 2:
+            levels.add(gamma)
+    return sorted(levels, key=lambda g: g.coords)
+
+
+def test_hull_candidate_levels_match_the_pairwise_definition():
+    rng = random.Random(33)
+    for base in (krasner(), sign_idyll()):
+        units = [u for u in base.elements if not base.is_zero(u)]
+        for rank in (1, 2, 3):
+            E = trop_extension(base, rank)
+            for _ in range(200):
+                n = rng.randrange(0, 9)
+                coeffs = []
+                for i in range(n + 1):
+                    if i < n and rng.random() < 0.25:
+                        coeffs.append(E.zero)
+                    else:
+                        level = tuple(
+                            Fraction(rng.randrange(-4, 5), rng.choice([1, 2]))
+                            for _ in range(rank)
+                        )
+                        coeffs.append(E.elem(rng.choice(units), level))
+                f = Polynomial(E, coeffs)
+                expected = [
+                    ExtElement(u, g) for g in _pairwise_candidate_levels(f) for u in units
+                ]
+                if 0 not in f.support:
+                    expected.append(E.zero)
+                assert root_candidates(f) == expected, f
 
 
 def test_value_group_polynomials_get_unit_one():

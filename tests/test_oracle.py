@@ -86,6 +86,14 @@ def test_bounded_oracle_reports_inconclusive_on_tiny_cap():
     assert (count, chain, conclusive) == (-1, None, False)
 
 
+def test_bounded_oracle_cap_bounds_the_whole_search():
+    # no single division step needs more than 11 states; the search needs 32
+    f = Polynomial(T, [T.elem(1, 0)] * 5)
+    assert bounded_extension_oracle(f, T.elem(1, 0), cap=20) == (-1, None, False)
+    count, chain, conclusive = bounded_extension_oracle(f, T.elem(1, 0), cap=32)
+    assert conclusive and count == 4 and chain.verify()
+
+
 # -- the structured sign quotient -------------------------------------------------
 
 
