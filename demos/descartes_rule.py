@@ -10,8 +10,13 @@ as a counting argument.
 
 from fractions import Fraction
 
-from idylls import Polynomial, mult_closed_form, multiplicity, rational_field
-from idylls.cli import sign_of_poly
+from idylls import (
+    Polynomial,
+    mult_closed_form,
+    multiplicity,
+    rational_field,
+    sign_of_poly,
+)
 
 Q = rational_field()
 

@@ -18,8 +18,8 @@ from idylls import (
     rational_field,
     render_polygon,
     root_candidates,
+    trop_of_rational,
 )
-from idylls.cli import trop_of_rational
 
 Q = rational_field()
 

@@ -187,16 +187,15 @@ class Idyll:
     """Base descriptor. Subclasses fill in the attributes in ``__init__``.
 
     Required attributes: name, kind, zero, one, epsilon, elements (tuple or
-    None for infinite carriers), is_whole, is_pasture_backed,
-    minus_means_epsilon (polynomial-grammar hint: whether a leading '-'
-    multiplies the coefficient by epsilon, or binds into a valuation literal).
+    None for infinite carriers), is_whole, minus_means_epsilon
+    (polynomial-grammar hint: whether a leading '-' multiplies the
+    coefficient by epsilon, or binds into a valuation literal).
     """
 
     name: str
     kind: str
     elements: Optional[tuple]
     is_whole: bool
-    is_pasture_backed: bool
     minus_means_epsilon: bool = True
 
     # -- identity ---------------------------------------------------------
@@ -290,7 +289,7 @@ class Idyll:
 
     # -- sampling for the axiom harness -------------------------------------
 
-    def sample_elements(self, rng: random.Random, count: int = 8) -> tuple:
+    def sample_elements(self, rng: random.Random) -> tuple:
         """A small deterministic-ish pool for infinite carriers."""
         raise UnsupportedOperationError(f"{self.name} provides no sample pool")
 
@@ -310,7 +309,6 @@ class KrasnerIdyll(Idyll):
         self.epsilon = 1
         self.elements = (0, 1)
         self.is_whole = True
-        self.is_pasture_backed = True
         self.minus_means_epsilon = True
 
     def contains(self, x):
@@ -356,7 +354,6 @@ class SignIdyll(Idyll):
         self.epsilon = -1
         self.elements = (0, 1, -1)
         self.is_whole = True
-        self.is_pasture_backed = True
 
     def contains(self, x):
         return isinstance(x, int) and not isinstance(x, bool) and x in (-1, 0, 1)
@@ -408,7 +405,6 @@ class PartialFieldIdyll(Idyll):
         self.epsilon = -1
         self.elements = (0, 1, -1)
         self.is_whole = False
-        self.is_pasture_backed = True
 
     def contains(self, x):
         return isinstance(x, int) and not isinstance(x, bool) and x in (-1, 0, 1)
@@ -461,7 +457,6 @@ class PhaseIdyll(Idyll):
         self.epsilon = Fraction(1, 2)
         self.elements = None
         self.is_whole = True
-        self.is_pasture_backed = True
 
     def contains(self, x):
         if x is PHASE_ZERO:
@@ -523,7 +518,7 @@ class PhaseIdyll(Idyll):
             "detection only"
         )
 
-    def sample_elements(self, rng, count=8):
+    def sample_elements(self, rng):
         return (PHASE_ZERO,) + tuple(Fraction(k, 12) for k in range(12))
 
 
@@ -542,7 +537,6 @@ class RationalFieldIdyll(Idyll):
         self.epsilon = Fraction(-1)
         self.elements = None
         self.is_whole = True
-        self.is_pasture_backed = True
 
     def contains(self, x):
         return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
@@ -576,7 +570,7 @@ class RationalFieldIdyll(Idyll):
     def sum_set(self, a, b):
         return SumSet(frozenset({Fraction(a) + Fraction(b)}))
 
-    def sample_elements(self, rng, count=8):
+    def sample_elements(self, rng):
         pool = [Fraction(n, d) for n in range(-3, 4) for d in (1, 2, 3)]
         return tuple(sorted(set(pool)))
 
@@ -594,7 +588,6 @@ class FiniteFieldIdyll(Idyll):
         self.epsilon = (p - 1) % p
         self.elements = tuple(range(p))
         self.is_whole = True
-        self.is_pasture_backed = True
 
     def _key(self):
         return (self.kind, self.p)
@@ -667,7 +660,6 @@ class QuotientIdyll(Idyll):
             sorted(set(classes.values()), key=lambda c: (c.reps != frozenset({0}), c.rep))
         )
         self.is_whole = True
-        self.is_pasture_backed = True
 
     def _key(self):
         return (self.kind, self.p, self.subgroup)
@@ -734,7 +726,6 @@ class OagIdyll(Idyll):
         self.epsilon = oag_zero(rank)
         self.elements = None
         self.is_whole = True
-        self.is_pasture_backed = True
         self.minus_means_epsilon = False
 
     def _key(self):
@@ -792,7 +783,7 @@ class OagIdyll(Idyll):
         # equal minima already cancel: any value strictly above joins, and inf
         return SumSet(frozenset({a, INFINITY}), tail_above=a, tail_val=lambda x: x)
 
-    def sample_elements(self, rng, count=8):
+    def sample_elements(self, rng):
         pool = [INFINITY]
         span = [Fraction(k) for k in (-2, -1, 0, 1, 2)]
         for coords in itertools.product(span, repeat=self.rank):
@@ -862,7 +853,7 @@ def _require_prime(p: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# free-function forms of the method surface
+# validating free functions
 
 
 def is_null(B: Idyll, s) -> bool:
@@ -870,14 +861,6 @@ def is_null(B: Idyll, s) -> bool:
     if not isinstance(s, FormalSum):
         s = FormalSum(B, s)
     return B.is_null(s)
-
-
-def is_null_phase(s) -> bool:
-    """Null test for a sum of phases (exact convex-position test)."""
-    P = phase_idyll()
-    if not isinstance(s, FormalSum):
-        s = FormalSum(P, s)
-    return P.is_null(s)
 
 
 def sum_set(B: Idyll, a, b) -> SumSet:

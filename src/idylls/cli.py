@@ -29,15 +29,12 @@ from .algebra import (
     finite_field,
     krasner,
     oag_idyll,
-    padic_valuation,
     phase_idyll,
     quotient_hyperfield,
     rational_field,
     sign_idyll,
-    sign_of_rational,
 )
 from .extension import (
-    ExtElement,
     ExtensionDescriptor,
     check_extension_axioms,
     signed_tropical,
@@ -52,7 +49,7 @@ from .mult import (
     lift_factorization,
     mult_closed_form,
     multiplicity,
-    root_candidates,
+    root_multiplicities,
 )
 from .newton import (
     initial_form_at,
@@ -66,7 +63,13 @@ from .oracle import (
     sign_division_witness,
     tropical_division_witness,
 )
-from .poly import Polynomial, factor_check
+from .poly import (
+    Polynomial,
+    factor_check,
+    sign_of_poly,
+    trop_of_rational,
+    trop_real_of_rational,
+)
 
 # ---------------------------------------------------------------------------
 # idyll names
@@ -270,37 +273,6 @@ def chain_json(chain) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# coefficientwise pipelines from rational polynomials
-
-
-def trop_of_rational(F: Polynomial, p: int) -> Polynomial:
-    """Replace each rational coefficient by its p-adic valuation."""
-    T = tropical()
-    coeffs = [
-        ExtElement() if c == 0 else ExtElement(1, padic_valuation(c, p))
-        for c in F.coeffs
-    ]
-    return Polynomial(T, coeffs)
-
-
-def sign_of_poly(F: Polynomial) -> Polynomial:
-    """Replace each rational coefficient by its sign."""
-    return Polynomial(sign_idyll(), [sign_of_rational(c) for c in F.coeffs])
-
-
-def trop_real_of_rational(F: Polynomial, p: int) -> Polynomial:
-    """Keep the sign, valuate the magnitude: the signed tropical shadow."""
-    TR = signed_tropical()
-    coeffs = [
-        ExtElement()
-        if c == 0
-        else ExtElement(sign_of_rational(c), padic_valuation(c, p))
-        for c in F.coeffs
-    ]
-    return Polynomial(TR, coeffs)
-
-
-# ---------------------------------------------------------------------------
 # command plumbing
 
 
@@ -387,11 +359,7 @@ def cmd_mult(args) -> int:
 
 def cmd_roots(args) -> int:
     B, f = _poly_and_idyll(args)
-    found = []
-    for a in root_candidates(f):
-        m, _ = multiplicity(f, a)
-        if m > 0:
-            found.append((a, m))
+    found = root_multiplicities(f)
     payload = {
         "poly": poly_json(f),
         "roots": [
@@ -579,11 +547,9 @@ def run_demo(name: str) -> dict:
         say(f"the same cubic through {p}-adic valuations: {f}")
         expected_levels = [0, 1, 2] if p == 2 else [0, 1, 1]
         multiset = []
-        for a in root_candidates(f):
-            if isinstance(a, ExtElement) and a.is_zero:
-                continue
-            m, _ = multiplicity(f, a)
-            multiset += [a.level.coords[0]] * m
+        for a, m in root_multiplicities(f):
+            if not a.is_zero:
+                multiset += [a.level.coords[0]] * m
         expect("root level multiset", [Fraction(v) for v in expected_levels],
                sorted(multiset))
         if p == 3:
@@ -608,11 +574,7 @@ def run_demo(name: str) -> dict:
         TR = signed_tropical()
         f = parse_poly("1 - x + 1^1*x^2", TR)
         say(f"quadratic for a signed generating series: {f}")
-        roots = []
-        for a in root_candidates(f):
-            m, _ = multiplicity(f, a)
-            if m > 0:
-                roots.append((TR.format_element(a), m))
+        roots = [(TR.format_element(a), m) for a, m in root_multiplicities(f)]
         expect("roots with multiplicity", [("1^-1", 1), ("1^0", 1)], sorted(roots))
     elif name == "higher-rank":
         T2 = tropical(2)

@@ -24,7 +24,6 @@ from typing import Optional
 
 from .algebra import (
     ForeignElementError,
-    FormalSum,
     Idyll,
     ParseError,
     StructuralError,
@@ -101,7 +100,6 @@ class ExtensionDescriptor(Idyll):
         self.epsilon = ExtElement(base.epsilon, self._zero_level)
         self.elements = None
         self.is_whole = base.is_whole
-        self.is_pasture_backed = base.is_pasture_backed
         # Krasner units are trivial, so literals read as valuations there
         self.valuation_literals = base.kind == "krasner"
         self.minus_means_epsilon = not self.valuation_literals
@@ -277,11 +275,11 @@ class ExtensionDescriptor(Idyll):
     def layering_hypersum(self, y: ExtElement, z: ExtElement) -> SumSet:
         """Hypersum assembled from the four valuation cases.
 
-        Requires a hyperfield base (whole and pasture-backed): lower level
-        wins outright; at equal levels the base hypersum decides, and if it
-        contains zero every strictly higher element joins.
+        Requires a hyperfield (whole) base: lower level wins outright; at
+        equal levels the base hypersum decides, and if it contains zero every
+        strictly higher element joins.
         """
-        if not (self.base.is_whole and self.base.is_pasture_backed):
+        if not self.base.is_whole:
             raise UnsupportedOperationError("layering needs a hyperfield base")
         if y.is_zero and z.is_zero:
             return SumSet(frozenset({EXT_ZERO}))
@@ -305,7 +303,7 @@ class ExtensionDescriptor(Idyll):
 
     # -- sampling -------------------------------------------------------------
 
-    def sample_elements(self, rng: random.Random, count: int = 8):
+    def sample_elements(self, rng: random.Random):
         if self.base.elements is not None:
             units = [u for u in self.base.elements if not self.base.is_zero(u)]
         else:
@@ -356,7 +354,7 @@ def signed_tropical(rank: int = 1) -> ExtensionDescriptor:
 
 
 # ---------------------------------------------------------------------------
-# free-function forms of the method surface
+# validating free function
 
 
 def ext_mul(E: ExtensionDescriptor, a: ExtElement, b: ExtElement) -> ExtElement:
@@ -364,28 +362,6 @@ def ext_mul(E: ExtensionDescriptor, a: ExtElement, b: ExtElement) -> ExtElement:
         if not E.contains(x):
             raise ForeignElementError(f"{x!r} is not an element of {E.name}")
     return E.mul(a, b)
-
-
-def valuation(E: ExtensionDescriptor, a: ExtElement) -> OagValue:
-    return E.valuation(a)
-
-
-def lc(E: ExtensionDescriptor, a: ExtElement):
-    return E.lc(a)
-
-
-def ext_is_null(E: ExtensionDescriptor, s) -> bool:
-    if not isinstance(s, FormalSum):
-        s = FormalSum(E, s)
-    return E.is_null(s)
-
-
-def ev0(E: ExtensionDescriptor, a: ExtElement):
-    return E.ev0(a)
-
-
-def layering_hypersum(E: ExtensionDescriptor, y: ExtElement, z: ExtElement) -> SumSet:
-    return E.layering_hypersum(y, z)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +443,7 @@ def check_extension_axioms(
             break
 
     # (iv) layering agrees with the null rule (hyperfield bases)
-    if base.is_whole and base.is_pasture_backed:
+    if base.is_whole:
         for _ in range(samples):
             y, z, x = (rng.choice(pool) for _ in range(3))
             in_layering = x in E.layering_hypersum(y, z)

@@ -29,7 +29,12 @@ from .algebra import (
     UnsupportedOperationError,
 )
 from .extension import EXT_ZERO, ExtElement, ExtensionDescriptor
-from .newton import _as_extension_poly, initial_form_at, lower_hull
+from .newton import (
+    _as_extension_poly,
+    initial_form_at,
+    initial_form_split,
+    lower_hull,
+)
 from .oag import (
     INFINITY,
     OagValue,
@@ -284,25 +289,27 @@ def multiplicity(f: Polynomial, a, cap: int = None) -> tuple:
         k = f.support[0]
         quotients = tuple(f.shift_down(j) for j in range(1, k + 1))
         return k, FactorizationChain(f, a, quotients)
-    m, quotients = _longest_chain(f, a, "auto", _budget(cap), {})
+    budget = _budget(cap)
+    m, quotients = _longest_chain(f, lambda g: divide_once(g, a, "auto", budget), {})
     return m, FactorizationChain(f, a, quotients)
 
 
-def _longest_chain(poly: Polynomial, a, tails: str, budget: _Budget, memo: dict):
-    """(length, quotients) of a longest division chain from poly at a.
+def _longest_chain(poly: Polynomial, quotients_of, memo: dict) -> tuple:
+    """(length, quotients) of a longest division chain from poly.
 
-    Every division step spends the one budget. A module-level recursion
-    rather than a nested one: a closure that calls itself is a reference
-    cycle, which would keep the memo of a finished query alive until the
-    next full garbage collection.
+    quotients_of(g) lists the one-step quotients of g; memo maps coefficient
+    tuples to answers for one point. Every quotient is nonzero and of lower
+    degree, so the recursion cannot revisit a polynomial it is inside. A
+    module-level recursion rather than a nested one: a closure that calls
+    itself is a reference cycle, which would keep the memo of a finished
+    query alive until the next full garbage collection.
     """
     key = poly.coeffs
     if key in memo:
         return memo[key]
-    memo[key] = (0, ())
     best = (0, ())
-    for g in divide_once(poly, a, tails=tails, cap=budget):
-        m, suffix = _longest_chain(g, a, tails, budget, memo)
+    for g in quotients_of(poly):
+        m, suffix = _longest_chain(g, quotients_of, memo)
         if 1 + m > best[0]:
             best = (1 + m, (g,) + suffix)
     memo[key] = best
@@ -346,8 +353,8 @@ def mult_closed_form(f: Polynomial, a) -> int:
     """Multiplicity via the structure theory, without search.
 
     Dispatch: order of vanishing at 0; support width for trivial units; sign
-    changes for signed coefficients; exact division for fields; lex argmin
-    width for pure value groups; initial form recursion for split extensions.
+    changes for signed coefficients; exact division for fields; initial form
+    recursion for pure value groups and split extensions.
     """
     B = f.idyll
     if not B.contains(a):
@@ -363,8 +370,9 @@ def mult_closed_form(f: Polynomial, a) -> int:
     if isinstance(B, (RationalFieldIdyll, FiniteFieldIdyll)):
         return _field_division_count(f, a)
     if isinstance(B, OagIdyll):
-        idx = _oag_argmin(f, a)
-        return idx[-1] - idx[0]
+        # a value group is the tropical extension with trivial units
+        P, _ = initial_form_split(f, a)
+        return mult_closed_form(P, P.idyll.one)
     if isinstance(B, ExtensionDescriptor):
         if not B.is_split:
             raise UnsupportedOperationError(
@@ -373,20 +381,6 @@ def mult_closed_form(f: Polynomial, a) -> int:
         P, _ = initial_form_at(f, a)
         return mult_closed_form(P, a.unit)
     raise UnsupportedOperationError(f"no closed form for {B.name}")
-
-
-def _oag_argmin(f: Polynomial, a: OagValue) -> list:
-    best = None
-    idx = []
-    for i in f.support:
-        val = oag_add(f.coeffs[i], oag_scale(a, i))
-        c = -1 if best is None else oag_cmp(val, best)
-        if c < 0:
-            best = val
-            idx = [i]
-        elif c == 0:
-            idx.append(i)
-    return idx
 
 
 # ---------------------------------------------------------------------------
@@ -570,12 +564,29 @@ def root_candidates(f: Polynomial) -> list:
     raise UnsupportedOperationError(f"cannot enumerate candidates over {B.name}")
 
 
+def root_multiplicities(f: Polynomial, cap: int = None) -> list:
+    """Every root of f with its search multiplicity: [(a, m)], m > 0.
+
+    Candidates come from `root_candidates`, in its order. cap (or
+    IDYLL_SEARCH_CAP) bounds the search states of the whole query, summed
+    over every candidate.
+    """
+    budget = _budget(cap)
+    found = []
+    for a in root_candidates(f):
+        m, _ = multiplicity(f, a, cap=budget)
+        if m > 0:
+            found.append((a, m))
+    return found
+
+
 def degree_bound_check(f: Polynomial, cap: int = None) -> tuple:
-    """Sum of search multiplicities over all candidates vs the degree."""
+    """Sum of search multiplicities over all candidates vs the degree.
+
+    cap bounds the search states of the whole check, as in
+    `root_multiplicities`.
+    """
     if f.is_zero:
         raise StructuralError("the zero polynomial has no degree bound")
-    total = 0
-    for a in root_candidates(f):
-        m, _ = multiplicity(f, a, cap=cap)
-        total += m
+    total = sum(m for _, m in root_multiplicities(f, cap))
     return total, f.degree, total <= f.degree

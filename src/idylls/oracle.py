@@ -18,10 +18,9 @@ from .algebra import (
     StructuralError,
     UnsupportedOperationError,
     krasner,
-    padic_valuation,
     phase_idyll,
     quotient_hyperfield,
-    sign_idyll,
+    rational_field,
 )
 from .extension import ExtElement, signed_tropical, tropical
 from .mult import (
@@ -41,7 +40,13 @@ from .newton import (
     newton_polygon,
 )
 from .oag import INFINITY, oag_cmp, oag_min
-from .poly import Polynomial, factor_check, monomial_substitute
+from .poly import (
+    Polynomial,
+    factor_check,
+    monomial_substitute,
+    sign_of_poly,
+    trop_of_rational,
+)
 
 
 def exhaustive_multiplicity(f: Polynomial, a, memo: dict = None) -> int:
@@ -49,7 +54,7 @@ def exhaustive_multiplicity(f: Polynomial, a, memo: dict = None) -> int:
 
     Tries every coefficient tuple as a quotient and recurses on the ones
     that pass factor_check. Pass a shared memo dict when sweeping many
-    polynomials over the same idyll and point.
+    polynomials over the same idyll; it keeps one table per point.
     """
     B = f.idyll
     if B.elements is None:
@@ -61,21 +66,16 @@ def exhaustive_multiplicity(f: Polynomial, a, memo: dict = None) -> int:
     if memo is None:
         memo = {}
 
-    def best(poly):
-        key = (poly.coeffs, a)
-        if key in memo:
-            return memo[key]
-        n = poly.degree
-        result = 0
-        if n >= 1:
-            for coeffs in itertools.product(B.elements, repeat=n):
-                g = Polynomial(B, coeffs)
-                if factor_check(poly, a, g):
-                    result = max(result, 1 + best(g))
-        memo[key] = result
-        return result
+    def quotients_of(poly):
+        if poly.degree < 1:
+            return []
+        candidates = (
+            Polynomial(B, coeffs)
+            for coeffs in itertools.product(B.elements, repeat=poly.degree)
+        )
+        return [g for g in candidates if factor_check(poly, a, g)]
 
-    return best(f)
+    return _longest_chain(f, quotients_of, memo.setdefault(a, {}))[0]
 
 
 def exhaustive_root_set(f: Polynomial, memo: dict = None) -> set:
@@ -117,8 +117,11 @@ def bounded_extension_oracle(f: Polynomial, a: ExtElement, cap: int = None):
     if a.is_zero:
         m, chain = multiplicity(f, a)
         return m, chain, True
+    budget = _budget(cap)
     try:
-        m, quotients = _longest_chain(f, a, "grid", _budget(cap), {})
+        m, quotients = _longest_chain(
+            f, lambda g: divide_once(g, a, "grid", budget), {}
+        )
     except SearchCapExceeded:
         return -1, None, False
     return m, FactorizationChain(f, a, quotients), True
@@ -215,24 +218,6 @@ class OracleReport:
         return msg
 
 
-def _trop_poly(rationals, p):
-    """Coefficientwise p-adic valuation of a rational polynomial."""
-    T = tropical()
-    coeffs = []
-    for q in rationals:
-        q = Fraction(q)
-        if q == 0:
-            coeffs.append(ExtElement())
-        else:
-            coeffs.append(ExtElement(1, padic_valuation(q, p)))
-    return Polynomial(T, coeffs)
-
-
-def _sign_poly(rationals):
-    S = sign_idyll()
-    return Polynomial(S, [(q > 0) - (q < 0) for q in map(Fraction, rationals)])
-
-
 def run_pinned_corpus() -> list:
     """Frozen desk-scale instances with independently computed answers."""
     reports = []
@@ -240,13 +225,13 @@ def run_pinned_corpus() -> list:
     def check(name, expected, computed, detail=""):
         reports.append(OracleReport(name, expected, computed, expected == computed, detail))
 
-    S = sign_idyll()
     K = krasner()
     T = tropical()
     TR = signed_tropical()
 
     # cubic with rational roots 1, 1, and -1 read through its signs
-    f = _sign_poly([72, -6, -7, 1])
+    cubic = Polynomial(rational_field(), [72, -6, -7, 1])
+    f = sign_of_poly(cubic)
     check("sign cubic, mult at +1 (closed)", 2, mult_closed_form(f, 1))
     check("sign cubic, mult at +1 (search)", 2, multiplicity(f, 1)[0])
     check("sign cubic, mult at -1 (closed)", 1, mult_closed_form(f, -1))
@@ -258,11 +243,11 @@ def run_pinned_corpus() -> list:
     )
 
     # the same integer cubic seen through p-adic valuations
-    f2 = _trop_poly([72, -6, -7, 1], 2)
+    f2 = trop_of_rational(cubic, 2)
     slopes2 = [(-e.slope, e.width) for e in newton_polygon(f2).edges]
     check("2-adic cubic, root levels", [(Fraction(0), 1), (Fraction(1), 1), (Fraction(2), 1)],
           sorted(slopes2))
-    f3 = _trop_poly([72, -6, -7, 1], 3)
+    f3 = trop_of_rational(cubic, 3)
     slopes3 = [(-e.slope, e.width) for e in newton_polygon(f3).edges]
     check("3-adic cubic, root levels", [(Fraction(0), 1), (Fraction(1), 2)],
           sorted(slopes3))

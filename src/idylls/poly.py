@@ -5,11 +5,23 @@ addition is multivalued, "f has root a with quotient g" is not an equation
 between polynomials but a degreewise membership test: every coefficient of f
 must be reachable from the corresponding coefficients of (x - a) * g. That
 test is `factor_check`.
+
+The maps at the end carry a polynomial over the rationals into the sign
+idyll and the (signed) tropical numbers, coefficient by coefficient.
 """
 
 from __future__ import annotations
 
-from .algebra import ForeignElementError, FormalSum, Idyll, StructuralError
+from .algebra import (
+    ForeignElementError,
+    FormalSum,
+    Idyll,
+    StructuralError,
+    padic_valuation,
+    sign_idyll,
+    sign_of_rational,
+)
+from .extension import ExtElement, signed_tropical, tropical
 
 
 class Polynomial:
@@ -134,3 +146,32 @@ def factor_check(f: Polynomial, a, g: Polynomial) -> bool:
         if not B.is_null(FormalSum(B, terms)):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# coefficientwise maps from rational polynomials
+
+
+def sign_of_poly(F: Polynomial) -> Polynomial:
+    """Replace each rational coefficient by its sign."""
+    return Polynomial(sign_idyll(), [sign_of_rational(c) for c in F.coeffs])
+
+
+def trop_of_rational(F: Polynomial, p: int) -> Polynomial:
+    """Replace each rational coefficient by its p-adic valuation."""
+    coeffs = [
+        ExtElement() if c == 0 else ExtElement(1, padic_valuation(c, p))
+        for c in F.coeffs
+    ]
+    return Polynomial(tropical(), coeffs)
+
+
+def trop_real_of_rational(F: Polynomial, p: int) -> Polynomial:
+    """Keep the sign, valuate the magnitude: the signed tropical shadow."""
+    coeffs = [
+        ExtElement()
+        if c == 0
+        else ExtElement(sign_of_rational(c), padic_valuation(c, p))
+        for c in F.coeffs
+    ]
+    return Polynomial(signed_tropical(), coeffs)

@@ -27,7 +27,6 @@ from idylls.extension import (
     tropical,
 )
 from idylls.algebra import check_idyll_axioms
-from idylls.cli import sign_of_poly, trop_of_rational
 from idylls.mult import (
     degree_bound_check,
     divide_once,
@@ -45,7 +44,7 @@ from idylls.oracle import (
     sign_division_witness,
     tropical_division_witness,
 )
-from idylls.poly import Polynomial, factor_check
+from idylls.poly import Polynomial, factor_check, sign_of_poly, trop_of_rational
 
 K = krasner()
 S = sign_idyll()

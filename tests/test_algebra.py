@@ -364,7 +364,6 @@ def test_axiom_harness_flags_a_missing_epsilon():
             self.epsilon = 1
             self.elements = (0, 1)
             self.is_whole = False
-            self.is_pasture_backed = False
 
         def contains(self, x):
             return x in (0, 1)

@@ -15,11 +15,13 @@ from idylls.cli import (
     parse_idyll_name,
     parse_poly,
     run_demo,
+)
+from idylls.poly import (
+    Polynomial,
     sign_of_poly,
     trop_of_rational,
     trop_real_of_rational,
 )
-from idylls.poly import Polynomial
 
 S = sign_idyll()
 K = krasner()
@@ -347,6 +349,16 @@ def test_cap_exit_4(monkeypatch, capsys):
     rc = main(
         ["mult", "--idyll", "krasner", "--poly", "1 + x + x^2 + x^3 + x^4 + x^5",
          "--at", "1"]
+    )
+    capsys.readouterr()
+    assert rc == 4
+
+
+def test_roots_cap_bounds_the_whole_query(monkeypatch, capsys):
+    # the three candidates need 159 states together, at most 90 each
+    monkeypatch.setenv("IDYLL_SEARCH_CAP", "158")
+    rc = main(
+        ["roots", "--idyll", "trop", "--poly", "2 + 1*x + 0*x^2 + 0*x^3 + 2*x^4 + 1*x^5"]
     )
     capsys.readouterr()
     assert rc == 4

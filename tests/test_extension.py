@@ -20,7 +20,6 @@ from idylls.extension import (
     ExtElement,
     ExtensionDescriptor,
     check_extension_axioms,
-    layering_hypersum,
     signed_tropical,
     trop_extension,
     tropical,
@@ -205,13 +204,13 @@ def test_broken_cocycle_is_flagged_by_the_harness():
 
 def test_layering_cases():
     y = TR.elem(1, 0)
-    s = layering_hypersum(TR, y, TR.elem(1, 1))
+    s = TR.layering_hypersum(y, TR.elem(1, 1))
     assert set(s.core) == {y}  # lower level absorbs strictly higher
-    t = layering_hypersum(TR, y, TR.elem(-1, 0))
+    t = TR.layering_hypersum(y, TR.elem(-1, 0))
     assert EXT_ZERO in t.core and t.tail_above == oag(0)
-    u = layering_hypersum(TR, y, y)
+    u = TR.layering_hypersum(y, y)
     assert set(u.core) == {y} and u.tail_above is None
-    z = layering_hypersum(TR, y, EXT_ZERO)
+    z = TR.layering_hypersum(y, EXT_ZERO)
     assert set(z.core) == {y}
 
 
@@ -221,7 +220,7 @@ def test_layering_matches_sum_set_everywhere():
         TR.elem(u, lv) for u in (1, -1) for lv in (-1, 0, 1)
     ]
     for y, z in itertools.product(pool, repeat=2):
-        a = layering_hypersum(TR, y, z)
+        a = TR.layering_hypersum(y, z)
         b = TR.sum_set(y, z)
         assert set(a.core) == set(b.core)
         assert a.tail_above == b.tail_above

@@ -29,7 +29,7 @@ from idylls.mult import (
     root_candidates,
 )
 from idylls.newton import initial_form_at
-from idylls.oag import oag
+from idylls.oag import INFINITY, oag
 from idylls.oracle import exhaustive_multiplicity
 from idylls.poly import Polynomial, factor_check
 
@@ -193,6 +193,26 @@ def test_closed_form_value_group_width():
     assert multiplicity(f, oag(1))[0] == 2
 
 
+def test_closed_form_matches_search_over_value_groups():
+    # about a quarter of the coefficients below the leading one are zero
+    rng = random.Random(12)
+    queries = 0
+    for rank in (1, 2):
+        G = oag_idyll(rank)
+
+        def level():
+            return oag(*(rng.randint(-2, 2) for _ in range(rank)))
+
+        for _ in range(150):
+            n = rng.randint(1, 5)
+            coeffs = [INFINITY if rng.random() < 0.25 else level() for _ in range(n)]
+            f = Polynomial(G, coeffs + [level()])
+            for a in root_candidates(f):
+                assert mult_closed_form(f, a) == multiplicity(f, a)[0], (str(f), a)
+                queries += 1
+    assert queries > 300
+
+
 def test_closed_form_extension_recurses_into_initial_form():
     f = Polynomial(T, [T.elem(1, 2), T.elem(1, 1), T.elem(1, 0), T.elem(1, 0)])
     assert mult_closed_form(f, T.elem(1, 1)) == 2
@@ -242,6 +262,16 @@ def test_cap_bounds_the_whole_query():
     with pytest.raises(SearchCapExceeded):
         multiplicity(f, T.elem(1, 0), cap=212)
     assert multiplicity(f, T.elem(1, 0), cap=213)[0] == 6
+
+
+def test_degree_bound_cap_bounds_the_whole_check():
+    # three candidates spend 159 states together, at most 90 each
+    f = Polynomial(
+        T, [T.elem(1, 2), T.elem(1, 1), T.elem(1, 0), T.elem(1, 0), T.elem(1, 2), T.elem(1, 1)]
+    )
+    with pytest.raises(SearchCapExceeded):
+        degree_bound_check(f, cap=158)
+    assert degree_bound_check(f, cap=159) == (5, 5, True)
 
 
 # -- root candidates ------------------------------------------------------------
