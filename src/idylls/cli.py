@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import (
@@ -25,27 +24,13 @@ from .algebra import (
     StructuralError,
     UnsupportedOperationError,
     check_idyll_axioms,
-    f1pm,
-    finite_field,
-    krasner,
-    oag_idyll,
-    phase_idyll,
-    quotient_hyperfield,
     rational_field,
-    sign_idyll,
 )
-from .extension import (
-    ExtensionDescriptor,
-    check_extension_axioms,
-    signed_tropical,
-    trop_extension,
-    tropical,
-)
+from .extension import ExtensionDescriptor, check_extension_axioms
 from .mult import (
     SearchCapExceeded,
     degree_bound_check,
     divide_once,
-    is_root,
     lift_factorization,
     mult_closed_form,
     multiplicity,
@@ -59,197 +44,20 @@ from .newton import (
     render_polygon,
 )
 from .oracle import (
+    DEMO_INTROS,
+    DEMO_NAMES,
+    PINNED_CHECKS,
+    check_pinned,
     run_pinned_corpus,
-    sign_division_witness,
-    tropical_division_witness,
 )
 from .poly import (
     Polynomial,
-    factor_check,
+    parse_idyll_name,
+    parse_poly,
     sign_of_poly,
     trop_of_rational,
     trop_real_of_rational,
 )
-
-# ---------------------------------------------------------------------------
-# idyll names
-
-
-def parse_idyll_name(name: str) -> Idyll:
-    """Resolve a catalog name like sign, trop:rank-2, or quot:GF(5)/{1,4}."""
-    t = name.strip()
-    simple = {
-        "krasner": krasner,
-        "sign": sign_idyll,
-        "phase": phase_idyll,
-        "f1pm": f1pm,
-        "field:Q": rational_field,
-    }
-    if t in simple:
-        return simple[t]()
-    if t == "trop":
-        return tropical(1)
-    if t == "trop-real":
-        return signed_tropical(1)
-    if t == "oag":
-        return oag_idyll(1)
-    for prefix, factory in (
-        ("trop:rank-", tropical),
-        ("trop-real:rank-", signed_tropical),
-        ("oag:rank-", oag_idyll),
-    ):
-        if t.startswith(prefix):
-            return factory(_parse_rank(t[len(prefix):]))
-    if t.startswith("field:GF(") and t.endswith(")"):
-        return finite_field(_parse_int(t[9:-1], "field order"))
-    if t.startswith("quot:GF("):
-        return _parse_quotient_name(t)
-    if t.startswith("ext:"):
-        body = t[4:]
-        base_name, _, rank_text = body.rpartition(":")
-        if not base_name:
-            raise ParseError(f"extension name needs ext:<base>:<rank>: {name!r}")
-        return trop_extension(parse_idyll_name(base_name), _parse_rank(rank_text))
-    raise ParseError(f"unknown idyll {name!r}")
-
-
-def _parse_rank(text: str) -> int:
-    rank = _parse_int(text, "rank")
-    if rank < 1:
-        raise ParseError(f"rank must be at least 1, not {rank}")
-    return rank
-
-
-def _parse_int(text: str, what: str) -> int:
-    try:
-        return int(text.strip())
-    except ValueError:
-        raise ParseError(f"bad {what}: {text!r}") from None
-
-
-def _parse_quotient_name(t: str):
-    # quot:GF(p)/{a,b,...}
-    close = t.find(")")
-    if close < 0 or not t[close + 1 :].startswith("/{") or not t.endswith("}"):
-        raise ParseError(f"quotient names look like quot:GF(5)/{{1,4}}: {t!r}")
-    p = _parse_int(t[8:close], "field order")
-    members = t[close + 3 : -1]
-    subgroup = frozenset(_parse_int(x, "subgroup member") for x in members.split(","))
-    try:
-        return quotient_hyperfield(p, subgroup)
-    except StructuralError as exc:
-        raise ParseError(str(exc)) from exc
-
-
-# ---------------------------------------------------------------------------
-# polynomial grammar
-
-
-def _split_terms(text: str):
-    if not text.strip():
-        raise ParseError("empty polynomial")
-    terms = []
-    depth = 0
-    cur = []
-    sign = 1
-    prev = ""
-    started = False
-    for pos, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ParseError(f"unbalanced ')' at position {pos}")
-        if ch in "+-" and depth == 0:
-            if not started:
-                if ch == "-":
-                    sign = -sign
-                continue
-            if prev in "^*(,/":
-                cur.append(ch)
-                prev = ch
-                continue
-            terms.append((sign, "".join(cur).strip()))
-            cur = []
-            sign = 1 if ch == "+" else -1
-            prev = ""
-            started = False
-            continue
-        cur.append(ch)
-        if not ch.isspace():
-            prev = ch
-            started = True
-    if depth != 0:
-        raise ParseError("unbalanced '('")
-    last = "".join(cur).strip()
-    if not last:
-        raise ParseError("dangling sign at end of polynomial")
-    terms.append((sign, last))
-    return terms
-
-
-def _parse_term(B: Idyll, sign: int, body: str):
-    depth = 0
-    xpos = -1
-    for idx, ch in enumerate(body):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "x" and depth == 0:
-            xpos = idx
-            break
-    if xpos < 0:
-        lit = body.strip()
-        deg = 0
-    else:
-        lit = body[:xpos].rstrip()
-        if lit.endswith("*"):
-            lit = lit[:-1]
-        lit = lit.strip()
-        rest = body[xpos + 1 :].strip()
-        if not rest:
-            deg = 1
-        elif rest.startswith("^"):
-            deg = _parse_int(rest[1:], "exponent")
-            if deg < 0:
-                raise ParseError(f"negative exponent in {body!r}")
-        else:
-            raise ParseError(f"unexpected text after x in {body!r}")
-    if not lit:
-        coeff = B.one
-    elif sign < 0 and not B.minus_means_epsilon:
-        # the minus binds into the value literal, e.g. trop "-3" = 1^-3
-        try:
-            coeff = B.parse_element("-" + lit)
-            sign = 1
-        except ParseError:
-            coeff = B.parse_element(lit)
-    else:
-        coeff = B.parse_element(lit)
-    if sign < 0:
-        coeff = B.mul(B.epsilon, coeff)
-    return deg, coeff
-
-
-def parse_poly(text: str, idyll: Idyll) -> Polynomial:
-    """Parse terms like "72 - 6x - 7x^2 + x^3" with idyll-specific literals.
-
-    Each degree may appear once; separators are + and - at paren depth 0;
-    coefficients may be attached with or without *.
-    """
-    seen = {}
-    for sign, body in _split_terms(text):
-        deg, coeff = _parse_term(idyll, sign, body)
-        if deg in seen:
-            raise ParseError(f"duplicate degree {deg} in {text!r}")
-        seen[deg] = coeff
-    coeffs = [idyll.zero] * (max(seen) + 1)
-    for d, c in seen.items():
-        coeffs[d] = c
-    return Polynomial(idyll, coeffs)
-
 
 def poly_json(f: Polynomial) -> dict:
     B = f.idyll
@@ -281,7 +89,7 @@ def _resolve_idyll(args) -> Idyll:
     if name is None:
         raise ParseError("--idyll is required for this command")
     rank = getattr(args, "rank", None)
-    if rank:
+    if rank is not None:
         if name in ("trop", "trop-real", "oag"):
             name = f"{name}:rank-{rank}"
         else:
@@ -291,7 +99,7 @@ def _resolve_idyll(args) -> Idyll:
 
 def _poly_and_idyll(args):
     prime = getattr(args, "prime", None)
-    if prime:
+    if prime is not None:
         F = parse_poly(args.poly, rational_field())
         target = args.idyll or "trop"
         if target in ("trop", "field:Q"):
@@ -502,127 +310,21 @@ def cmd_axioms(args) -> int:
 # ---------------------------------------------------------------------------
 # demos
 
-DEMO_NAMES = (
-    "descartes",
-    "newton-p2",
-    "newton-p3",
-    "polygon",
-    "catalan",
-    "higher-rank",
-    "division-rules",
-    "phase",
-)
-
 
 def run_demo(name: str) -> dict:
-    """Run one guided pipeline; returns {"name", "lines", "passed"}."""
+    """Run one demo group of the pinned table; returns {"name", "lines", "passed"}."""
     if name not in DEMO_NAMES:
         raise ParseError(f"unknown demo {name!r}; known: {', '.join(DEMO_NAMES)}")
-    lines = []
-    state = {"ok": True}
-
-    def say(text=""):
-        lines.append(text)
-
-    def expect(label, expected, computed):
-        good = expected == computed
-        state["ok"] = state["ok"] and good
-        mark = "ok" if good else "MISMATCH"
-        lines.append(f"  [{mark}] {label}: expected {expected!r}, computed {computed!r}")
-
-    Q = rational_field()
-    F = parse_poly("72 - 6x - 7x^2 + x^3", Q)
-
-    if name == "descartes":
-        say("integer cubic with roots -3, 4, 6, read through its signs")
-        s = sign_of_poly(F)
-        say(f"  sign sequence: {', '.join(s.idyll.format_element(c) for c in s.coeffs)}")
-        expect("mult at +1 (search)", 2, multiplicity(s, 1)[0])
-        expect("mult at +1 (closed)", 2, mult_closed_form(s, 1))
-        expect("mult at -1 (search)", 1, multiplicity(s, -1)[0])
-        expect("mult at -1 (closed)", 1, mult_closed_form(s, -1))
-    elif name in ("newton-p2", "newton-p3"):
-        p = 2 if name == "newton-p2" else 3
-        f = trop_of_rational(F, p)
-        say(f"the same cubic through {p}-adic valuations: {f}")
-        expected_levels = [0, 1, 2] if p == 2 else [0, 1, 1]
-        multiset = []
-        for a, m in root_multiplicities(f):
-            if not a.is_zero:
-                multiset += [a.level.coords[0]] * m
-        expect("root level multiset", [Fraction(v) for v in expected_levels],
-               sorted(multiset))
-        if p == 3:
-            T = tropical()
-            expect("mult at level 1", 2, multiplicity(f, T.elem(1, 1))[0])
-    elif name == "polygon":
-        T = tropical()
-        f = parse_poly("2 + 1*x + 0*x^2 + 0*x^3 + 2*x^4 + 1*x^5", T)
-        polygon = newton_polygon(f)
-        say("lower hull of a valuation quintic:")
-        say(render_polygon(polygon, "ascii"))
-        expect("edge slopes", [Fraction(-1), Fraction(0), Fraction(1, 2)],
-               list(polygon.edge_slopes))
-        expect("edge widths", [2, 1, 2], [e.width for e in polygon.edges])
-        expect("initial support at level 1", (0, 1, 2),
-               initial_form_split(f, 1)[0].support)
-        expect("initial support at level 0", (2, 3),
-               initial_form_split(f, 0)[0].support)
-        expect("initial support at level -1/2", (3, 5),
-               initial_form_split(f, Fraction(-1, 2))[0].support)
-    elif name == "catalan":
-        TR = signed_tropical()
-        f = parse_poly("1 - x + 1^1*x^2", TR)
-        say(f"quadratic for a signed generating series: {f}")
-        roots = [(TR.format_element(a), m) for a, m in root_multiplicities(f)]
-        expect("roots with multiplicity", [("1^-1", 1), ("1^0", 1)], sorted(roots))
-    elif name == "higher-rank":
-        T2 = tropical(2)
-        f = parse_poly("(3,3) + (2,2)*x + (1,1)*x^2 + (0,1)*x^3 + (0,0)*x^4", T2)
-        say(f"rank-2 levels, read one coordinate at a time: {f}")
-        rounds = initial_form_rounds(f, (1, 1))
-        for r in rounds:
-            say(f"  round: {r}")
-        expect("first round support", (0, 1, 2, 3), rounds[0].support)
-        expect("final round support", (0, 1, 2), rounds[-1].support)
-        expect("mult at (1,1) (closed)", 2, mult_closed_form(f, T2.elem(1, (1, 1))))
-        expect("mult at (1,1) (search)", 2, multiplicity(f, T2.elem(1, (1, 1)))[0])
-    elif name == "division-rules":
-        K = krasner()
-        S = sign_idyll()
-        f1 = parse_poly("x + x^2 + x^3 + x^4", K)
-        g1 = parse_poly("x + x^2 + x^3", K)
-        expect("trivial-unit staircase identity", True, factor_check(f1, 1, g1))
-        f2 = parse_poly("1 - x + x^2 - x^3 - x^4 - x^5 + x^6", S)
-        g2 = parse_poly("1 - x + x^2 - x^3 - x^4 + x^5", S)
-        expect("sign identity at -1", True, factor_check(f2, -1, g2))
-        expect("sign rule reproduces it", g2, sign_division_witness(f2, -1))
-        f3 = parse_poly("1 + x + x^2 - x^3 + x^4 - x^5", S)
-        g3 = parse_poly("-1 - x - x^2 + x^3 - x^4", S)
-        expect("sign identity at +1", True, factor_check(f3, 1, g3))
-        expect("sign rule reproduces it", g3, sign_division_witness(f3, 1))
-        T = tropical()
-        f4 = parse_poly("2 + 1*x + 0*x^2 + 0*x^3", T)
-        w = tropical_division_witness(f4, T.elem(1, 1))
-        expect("staircase witness is valid", True, factor_check(f4, T.elem(1, 1), w))
-        expect("multiplicity drops by one", multiplicity(f4, T.elem(1, 1))[0] - 1,
-               multiplicity(w, T.elem(1, 1))[0])
-    elif name == "phase":
-        P = phase_idyll()
-        f = parse_poly("1 + x + x^2", P)
-        say("unit-circle quadratic: roots fill an open arc")
-        expect("root at half a turn", True, is_root(f, Fraction(1, 2)))
-        expect("root strictly inside", (True, True),
-               (is_root(f, Fraction(3, 8)), is_root(f, Fraction(5, 8))))
-        expect("boundary angles are not roots", (False, False),
-               (is_root(f, Fraction(1, 4)), is_root(f, Fraction(3, 4))))
-        expect("outside the arc", False, is_root(f, Fraction(1, 8)))
-    return {"name": name, "lines": lines, "passed": state["ok"]}
+    reports = [check_pinned(*row) for row in PINNED_CHECKS if row[0] == name]
+    return {
+        "name": name,
+        "lines": [DEMO_INTROS[name]] + [f"  {r.line()}" for r in reports],
+        "passed": all(r.passed for r in reports),
+    }
 
 
 def cmd_demo(args) -> int:
     names = DEMO_NAMES if args.name == "all" else (args.name,)
-    all_ok = True
     payloads = []
     for name in names:
         report = run_demo(name)
@@ -632,10 +334,9 @@ def cmd_demo(args) -> int:
             for line in report["lines"]:
                 print(line)
             print()
-        all_ok = all_ok and report["passed"]
     if args.json:
         print(json.dumps(payloads if len(payloads) > 1 else payloads[0], indent=2))
-    return 0 if all_ok else 3
+    return 0 if all(report["passed"] for report in payloads) else 3
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,10 @@ confirm or refute the search engine and the closed forms independently.
 `bounded_extension_oracle` plays the same role over an extension, where the
 carrier is infinite, by drawing quotient coefficients from a finite level
 grid that provably contains all witness levels.
+
+The pinned corpus is one table of the paper's worked examples: named
+instances (an idyll name and a polynomial literal) and the checks on them,
+read by `run_pinned_corpus` (`idylls verify`) and by `idylls demo <group>`.
 """
 
 from __future__ import annotations
@@ -17,12 +21,10 @@ from fractions import Fraction
 from .algebra import (
     StructuralError,
     UnsupportedOperationError,
-    krasner,
-    phase_idyll,
     quotient_hyperfield,
     rational_field,
 )
-from .extension import ExtElement, signed_tropical, tropical
+from .extension import ExtElement
 from .mult import (
     FactorizationChain,
     SearchCapExceeded,
@@ -32,6 +34,7 @@ from .mult import (
     is_root,
     mult_closed_form,
     multiplicity,
+    root_multiplicities,
 )
 from .newton import (
     initial_form_recursive,
@@ -39,11 +42,13 @@ from .newton import (
     initial_form_split,
     newton_polygon,
 )
-from .oag import INFINITY, oag_cmp, oag_min
+from .oag import INFINITY, oag_cmp, oag_min, parse_oag_value
 from .poly import (
     Polynomial,
     factor_check,
     monomial_substitute,
+    parse_idyll_name,
+    parse_poly,
     sign_of_poly,
     trop_of_rational,
 )
@@ -78,7 +83,7 @@ def exhaustive_multiplicity(f: Polynomial, a, memo: dict = None) -> int:
     return _longest_chain(f, quotients_of, memo.setdefault(a, {}))[0]
 
 
-def exhaustive_root_set(f: Polynomial, memo: dict = None) -> set:
+def exhaustive_root_set(f: Polynomial) -> set:
     """All carrier elements admitting at least one factorization witness."""
     B = f.idyll
     if B.elements is None:
@@ -201,6 +206,143 @@ def tropical_division_witness(f: Polynomial, a: ExtElement) -> Polynomial:
 # ---------------------------------------------------------------------------
 # pinned corpus
 
+_CUBIC = "72 - 6x - 7x^2 + x^3"  # rational roots -3, 4, 6
+
+# idyll names that read the literal over field:Q and map it coefficientwise
+_RATIONAL_MAPS = {
+    "sign of Q": sign_of_poly,
+    "2-adic of Q": lambda F: trop_of_rational(F, 2),
+    "3-adic of Q": lambda F: trop_of_rational(F, 3),
+}
+
+# name: (idyll name, polynomial literal)
+PINNED_INSTANCES = {
+    "sign cubic": ("sign of Q", _CUBIC),
+    "2-adic cubic": ("2-adic of Q", _CUBIC),
+    "3-adic cubic": ("3-adic of Q", _CUBIC),
+    "quintic": ("trop", "2 + 1*x + 0*x^2 + 0*x^3 + 1*x^5"),
+    "full quintic": ("trop", "2 + 1*x + 0*x^2 + 0*x^3 + 2*x^4 + 1*x^5"),
+    "catalan quadratic": ("trop-real", "1 - x + 1^1*x^2"),
+    "rank-2 quartic": (
+        "trop:rank-2", "(3,3) + (2,2)*x + (1,1)*x^2 + (0,1)*x^3 + (0,0)*x^4"
+    ),
+    "krasner quartic": ("krasner", "x + x^2 + x^3 + x^4"),
+    "sign sextic": ("sign", "1 - x + x^2 - x^3 - x^4 - x^5 + x^6"),
+    "sign quintic": ("sign", "1 + x + x^2 - x^3 + x^4 - x^5"),
+    "trop cubic": ("trop", "2 + 1*x + 0*x^2 + 0*x^3"),
+    "GF(5)/{1,4} quadratic": ("quot:GF(5)/{1,4}", "1 + x^2"),
+    "krasner gap quintic": ("krasner", "1 + x^5"),
+    "phase quadratic": ("phase", "1 + x + x^2"),
+}
+
+DEMO_INTROS = {
+    "descartes": "integer cubic with roots -3, 4, 6, read through its signs",
+    "newton-p2": "the same cubic through 2-adic valuations",
+    "newton-p3": "the same cubic through 3-adic valuations",
+    "polygon": "lower hulls of two valuation quintics, with slopes -1, 0, 1/2",
+    "catalan": "quadratic for a signed generating series",
+    "higher-rank": "rank-2 levels, read one coordinate at a time",
+    "division-rules": "division witnesses by rule, by search and by brute force",
+    "phase": "unit-circle quadratic: roots fill an open arc",
+}
+
+_SEXTIC_WITNESS = "1 + -1*x + 1*x^2 + -1*x^3 + -1*x^4 + 1*x^5"
+_QUINTIC_WITNESS = "-1 + -1*x + -1*x^2 + 1*x^3 + -1*x^4"
+
+# (demo group, instance, query, point literals, expected value)
+PINNED_CHECKS = (
+    ("descartes", "sign cubic", "mult", ("1",), 2),
+    ("descartes", "sign cubic", "closed", ("1",), 2),
+    ("descartes", "sign cubic", "mult", ("-1",), 1),
+    ("descartes", "sign cubic", "closed", ("-1",), 1),
+    ("descartes", "sign cubic", "exhaustive", ("1",), 2),
+    ("newton-p2", "2-adic cubic", "root levels", (),
+     [Fraction(0), Fraction(1), Fraction(2)]),
+    ("newton-p2", "2-adic cubic", "edges", (),
+     [(Fraction(0), 1), (Fraction(1), 1), (Fraction(2), 1)]),
+    ("newton-p3", "3-adic cubic", "root levels", (),
+     [Fraction(0), Fraction(1), Fraction(1)]),
+    ("newton-p3", "3-adic cubic", "edges", (), [(Fraction(0), 1), (Fraction(1), 2)]),
+    ("newton-p3", "3-adic cubic", "mult", ("1",), 2),
+    ("polygon", "quintic", "slopes", (), [Fraction(-1), Fraction(0), Fraction(1, 2)]),
+    ("polygon", "quintic", "widths", (), [2, 1, 2]),
+    ("polygon", "quintic", "initial support", ("1",), (0, 1, 2)),
+    ("polygon", "quintic", "initial support", ("0",), (2, 3)),
+    ("polygon", "quintic", "initial support", ("-1/2",), (3, 5)),
+    ("polygon", "full quintic", "slopes", (), [Fraction(-1), Fraction(0), Fraction(1, 2)]),
+    ("polygon", "full quintic", "widths", (), [2, 1, 2]),
+    ("polygon", "full quintic", "initial support", ("1",), (0, 1, 2)),
+    ("polygon", "full quintic", "initial support", ("0",), (2, 3)),
+    ("polygon", "full quintic", "initial support", ("-1/2",), (3, 5)),
+    ("catalan", "catalan quadratic", "roots", (), [("1^-1", 1), ("1^0", 1)]),
+    ("catalan", "catalan quadratic", "mult", ("1^0",), 1),
+    ("catalan", "catalan quadratic", "mult", ("1^-1",), 1),
+    ("catalan", "catalan quadratic", "closed", ("1^-1",), 1),
+    ("higher-rank", "rank-2 quartic", "first round", ("(1,1)",), (0, 1, 2, 3)),
+    ("higher-rank", "rank-2 quartic", "final round", ("(1,1)",), (0, 1, 2)),
+    ("higher-rank", "rank-2 quartic", "closed", ("(1,1)",), 2),
+    ("higher-rank", "rank-2 quartic", "mult", ("(1,1)",), 2),
+    ("division-rules", "krasner quartic", "factor_check", ("1", "x + x^2 + x^3"), True),
+    ("division-rules", "sign sextic", "factor_check", ("-1", _SEXTIC_WITNESS), True),
+    ("division-rules", "sign sextic", "sign rule", ("-1",), _SEXTIC_WITNESS),
+    ("division-rules", "sign quintic", "factor_check", ("1", _QUINTIC_WITNESS), True),
+    ("division-rules", "sign quintic", "sign rule", ("1",), _QUINTIC_WITNESS),
+    ("division-rules", "trop cubic", "staircase", ("1",), True),
+    ("division-rules", "trop cubic", "staircase drop", ("1",), 1),
+    ("division-rules", "GF(5)/{1,4} quadratic", "divides", ("[2]",), True),
+    ("division-rules", "krasner gap quintic", "closed", ("1",), 5),
+    ("division-rules", "krasner gap quintic", "exhaustive", ("1",), 5),
+    ("phase", "phase quadratic", "is_root", ("1/2",), True),
+    ("phase", "phase quadratic", "is_root", ("3/8", "5/8"), (True, True)),
+    ("phase", "phase quadratic", "is_root", ("1/4", "3/4"), (False, False)),
+    ("phase", "phase quadratic", "is_root", ("1/8",), False),
+)
+
+DEMO_NAMES = tuple(dict.fromkeys(row[0] for row in PINNED_CHECKS))
+
+
+def _at(f: Polynomial, literal: str):
+    return f.idyll.parse_element(literal)
+
+
+def _is_root(f: Polynomial, *points):
+    found = tuple(is_root(f, _at(f, a)) for a in points)
+    return found if len(found) > 1 else found[0]
+
+
+def _staircase(f: Polynomial, a) -> tuple:
+    """Is the staircase quotient at a a witness, and by how much does mult drop?"""
+    w = tropical_division_witness(f, a)
+    return factor_check(f, a, w), multiplicity(f, a)[0] - multiplicity(w, a)[0]
+
+
+# query: the library call it stands for, on the instance and the point literals
+_QUERIES = {
+    "mult": lambda f, a: multiplicity(f, _at(f, a))[0],
+    "closed": lambda f, a: mult_closed_form(f, _at(f, a)),
+    "exhaustive": lambda f, a: exhaustive_multiplicity(f, _at(f, a)),
+    "slopes": lambda f: list(newton_polygon(f).edge_slopes),
+    "widths": lambda f: [e.width for e in newton_polygon(f).edges],
+    "edges": lambda f: sorted((-e.slope, e.width) for e in newton_polygon(f).edges),
+    "root levels": lambda f: sorted(
+        a.level.coords[0] for a, m in root_multiplicities(f) for _ in range(m)
+    ),
+    "roots": lambda f: sorted(
+        (f.idyll.format_element(a), m) for a, m in root_multiplicities(f)
+    ),
+    "initial support": lambda f, g: (
+        initial_form_split(f, parse_oag_value(g))[0].support
+    ),
+    "first round": lambda f, g: initial_form_rounds(f, parse_oag_value(g))[0].support,
+    "final round": lambda f, g: initial_form_recursive(f, parse_oag_value(g)).support,
+    "is_root": _is_root,
+    "divides": lambda f, a: bool(divide_once(f, _at(f, a))),
+    "factor_check": lambda f, a, g: factor_check(f, _at(f, a), parse_poly(g, f.idyll)),
+    "sign rule": lambda f, a: str(sign_division_witness(f, _at(f, a))),
+    "staircase": lambda f, a: _staircase(f, _at(f, a))[0],
+    "staircase drop": lambda f, a: _staircase(f, _at(f, a))[1],
+}
+
 
 @dataclass
 class OracleReport:
@@ -208,126 +350,27 @@ class OracleReport:
     expected: object
     computed: object
     passed: bool
-    detail: str = ""
 
     def line(self) -> str:
         status = "ok" if self.passed else "MISMATCH"
-        msg = f"{status:8s} {self.name}: expected {self.expected}, got {self.computed}"
-        if self.detail:
-            msg += f" ({self.detail})"
-        return msg
+        return f"{status:8s} {self.name}: expected {self.expected}, got {self.computed}"
+
+
+def check_pinned(group: str, instance: str, query: str, points: tuple, expected):
+    """Evaluate one row of PINNED_CHECKS against the library."""
+    idyll, text = PINNED_INSTANCES[instance]
+    if idyll in _RATIONAL_MAPS:
+        f = _RATIONAL_MAPS[idyll](parse_poly(text, rational_field()))
+    else:
+        f = parse_poly(text, parse_idyll_name(idyll))
+    computed = _QUERIES[query](f, *points)
+    name = f"{instance}: {query}" + (f" at {', '.join(points)}" if points else "")
+    return OracleReport(name, expected, computed, expected == computed)
 
 
 def run_pinned_corpus() -> list:
-    """Frozen desk-scale instances with independently computed answers."""
-    reports = []
-
-    def check(name, expected, computed, detail=""):
-        reports.append(OracleReport(name, expected, computed, expected == computed, detail))
-
-    K = krasner()
-    T = tropical()
-    TR = signed_tropical()
-
-    # cubic with rational roots 1, 1, and -1 read through its signs
-    cubic = Polynomial(rational_field(), [72, -6, -7, 1])
-    f = sign_of_poly(cubic)
-    check("sign cubic, mult at +1 (closed)", 2, mult_closed_form(f, 1))
-    check("sign cubic, mult at +1 (search)", 2, multiplicity(f, 1)[0])
-    check("sign cubic, mult at -1 (closed)", 1, mult_closed_form(f, -1))
-    check("sign cubic, mult at -1 (search)", 1, multiplicity(f, -1)[0])
-    check(
-        "sign cubic, exhaustive agreement",
-        multiplicity(f, 1)[0],
-        exhaustive_multiplicity(f, 1),
-    )
-
-    # the same integer cubic seen through p-adic valuations
-    f2 = trop_of_rational(cubic, 2)
-    slopes2 = [(-e.slope, e.width) for e in newton_polygon(f2).edges]
-    check("2-adic cubic, root levels", [(Fraction(0), 1), (Fraction(1), 1), (Fraction(2), 1)],
-          sorted(slopes2))
-    f3 = trop_of_rational(cubic, 3)
-    slopes3 = [(-e.slope, e.width) for e in newton_polygon(f3).edges]
-    check("3-adic cubic, root levels", [(Fraction(0), 1), (Fraction(1), 2)],
-          sorted(slopes3))
-    check("3-adic cubic, mult at level 1", 2,
-          multiplicity(f3, T.elem(1, 1))[0])
-
-    # valuation polygon with slopes -1, 0, 1/2
-    g = Polynomial(
-        T,
-        [
-            T.elem(1, 2),
-            T.elem(1, 1),
-            T.elem(1, 0),
-            T.elem(1, 0),
-            ExtElement(),
-            T.elem(1, 1),
-        ],
-    )
-    poly_g = newton_polygon(g)
-    check("quintic polygon, slopes", [Fraction(-1), Fraction(0), Fraction(1, 2)],
-          list(poly_g.edge_slopes))
-    check("quintic polygon, widths", [2, 1, 2], [e.width for e in poly_g.edges])
-    check("quintic, initial support at level 1", (0, 1, 2),
-          initial_form_split(g, 1)[0].support)
-    check("quintic, initial support at level 0", (2, 3),
-          initial_form_split(g, 0)[0].support)
-    check("quintic, initial support at level -1/2", (3, 5),
-          initial_form_split(g, Fraction(-1, 2))[0].support)
-
-    # rank-2 levels, resolved one coordinate at a time
-    T2 = tropical(2)
-    h = Polynomial(
-        T2,
-        [
-            T2.elem(1, (3, 3)),
-            T2.elem(1, (2, 2)),
-            T2.elem(1, (1, 1)),
-            T2.elem(1, (0, 1)),
-            T2.elem(1, (0, 0)),
-        ],
-    )
-    check("rank-2 quartic, first round", (0, 1, 2, 3),
-          initial_form_rounds(h, (1, 1))[0].support)
-    check("rank-2 quartic, final round", (0, 1, 2),
-          initial_form_recursive(h, (1, 1)).support)
-    check("rank-2 quartic, mult at (1,1)", 2,
-          mult_closed_form(h, T2.elem(1, (1, 1))))
-    check("rank-2 quartic, search agreement", 2,
-          multiplicity(h, T2.elem(1, (1, 1)))[0])
-
-    # signed series coefficients of the catalan generating function
-    cat = Polynomial(TR, [TR.elem(1, 0), TR.elem(-1, 0), TR.elem(1, 1)])
-    check("catalan quadratic, mult at +1^0", 1,
-          multiplicity(cat, TR.elem(1, 0))[0])
-    check("catalan quadratic, mult at +1^-1", 1,
-          multiplicity(cat, TR.elem(1, -1))[0])
-    check("catalan quadratic, closed agreement", 1,
-          mult_closed_form(cat, TR.elem(1, -1)))
-
-    # phase quadratic: roots strictly between a quarter and three quarters
-    P = phase_idyll()
-    quad = Polynomial(P, [Fraction(0), Fraction(0), Fraction(0)])
-    check("phase quadratic, interior root", True,
-          is_root(quad, Fraction(1, 2)))
-    check("phase quadratic, boundary", (False, False),
-          (is_root(quad, Fraction(1, 4)), is_root(quad, Fraction(3, 4))))
-
-    # order-two subgroup quotient of the five element field
+    """Every row of the pinned table, then the one check with no polynomial."""
     Q54 = quotient_hyperfield(5, frozenset({1, 4}))
-    one = Q54.class_of(1)
-    two = Q54.class_of(2)
-    check("GF(5)/{1,4}, epsilon is one", one, Q54.epsilon)
-    sq = Polynomial(Q54, [one, Q54.zero, one])
-    check("GF(5)/{1,4}, x^2+1 root at [2]", True,
-          bool(divide_once(sq, two)))
-
-    # krasner support width with an interior gap
-    gap = Polynomial(K, [1, 0, 0, 0, 0, 1])
-    check("krasner quintic gap, mult at 1 (closed)", 5, mult_closed_form(gap, 1))
-    check("krasner quintic gap, exhaustive agreement", 5,
-          exhaustive_multiplicity(gap, 1))
-
-    return reports
+    epsilon = OracleReport("GF(5)/{1,4}: epsilon is one", Q54.one, Q54.epsilon,
+                           Q54.one == Q54.epsilon)
+    return [check_pinned(*row) for row in PINNED_CHECKS] + [epsilon]

@@ -6,6 +6,7 @@ between polynomials but a degreewise membership test: every coefficient of f
 must be reachable from the corresponding coefficients of (x - a) * g. That
 test is `factor_check`.
 
+The text grammar (`parse_idyll_name`, `parse_poly`) reads what `str` writes.
 The maps at the end carry a polynomial over the rationals into the sign
 idyll and the (signed) tropical numbers, coefficient by coefficient.
 """
@@ -16,12 +17,20 @@ from .algebra import (
     ForeignElementError,
     FormalSum,
     Idyll,
+    ParseError,
     StructuralError,
+    f1pm,
+    finite_field,
+    krasner,
+    oag_idyll,
     padic_valuation,
+    phase_idyll,
+    quotient_hyperfield,
+    rational_field,
     sign_idyll,
     sign_of_rational,
 )
-from .extension import ExtElement, signed_tropical, tropical
+from .extension import ExtElement, signed_tropical, trop_extension, tropical
 
 
 class Polynomial:
@@ -146,6 +155,186 @@ def factor_check(f: Polynomial, a, g: Polynomial) -> bool:
         if not B.is_null(FormalSum(B, terms)):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# idyll names
+
+
+def parse_idyll_name(name: str) -> Idyll:
+    """Resolve a catalog name like sign, trop:rank-2, or quot:GF(5)/{1,4}."""
+    t = name.strip()
+    simple = {
+        "krasner": krasner,
+        "sign": sign_idyll,
+        "phase": phase_idyll,
+        "f1pm": f1pm,
+        "field:Q": rational_field,
+    }
+    if t in simple:
+        return simple[t]()
+    if t == "trop":
+        return tropical(1)
+    if t == "trop-real":
+        return signed_tropical(1)
+    if t == "oag":
+        return oag_idyll(1)
+    for prefix, factory in (
+        ("trop:rank-", tropical),
+        ("trop-real:rank-", signed_tropical),
+        ("oag:rank-", oag_idyll),
+    ):
+        if t.startswith(prefix):
+            return factory(_parse_rank(t[len(prefix):]))
+    if t.startswith("field:GF(") and t.endswith(")"):
+        return finite_field(_parse_int(t[9:-1], "field order"))
+    if t.startswith("quot:GF("):
+        return _parse_quotient_name(t)
+    if t.startswith("ext:"):
+        body = t[4:]
+        base_name, _, rank_text = body.rpartition(":")
+        if not base_name:
+            raise ParseError(f"extension name needs ext:<base>:<rank>: {name!r}")
+        return trop_extension(parse_idyll_name(base_name), _parse_rank(rank_text))
+    raise ParseError(f"unknown idyll {name!r}")
+
+
+def _parse_rank(text: str) -> int:
+    rank = _parse_int(text, "rank")
+    if rank < 1:
+        raise ParseError(f"rank must be at least 1, not {rank}")
+    return rank
+
+
+def _parse_int(text: str, what: str) -> int:
+    try:
+        return int(text.strip())
+    except ValueError:
+        raise ParseError(f"bad {what}: {text!r}") from None
+
+
+def _parse_quotient_name(t: str):
+    # quot:GF(p)/{a,b,...}
+    close = t.find(")")
+    if close < 0 or not t[close + 1 :].startswith("/{") or not t.endswith("}"):
+        raise ParseError(f"quotient names look like quot:GF(5)/{{1,4}}: {t!r}")
+    p = _parse_int(t[8:close], "field order")
+    members = t[close + 3 : -1]
+    subgroup = frozenset(_parse_int(x, "subgroup member") for x in members.split(","))
+    try:
+        return quotient_hyperfield(p, subgroup)
+    except StructuralError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+# ---------------------------------------------------------------------------
+# polynomial grammar
+
+
+def _split_terms(text: str):
+    if not text.strip():
+        raise ParseError("empty polynomial")
+    terms = []
+    depth = 0
+    cur = []
+    sign = 1
+    prev = ""
+    started = False
+    for pos, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise ParseError(f"unbalanced ')' at position {pos}")
+        if ch in "+-" and depth == 0:
+            if not started:
+                if ch == "-":
+                    sign = -sign
+                continue
+            if prev in "^*(,/":
+                cur.append(ch)
+                prev = ch
+                continue
+            terms.append((sign, "".join(cur).strip()))
+            cur = []
+            sign = 1 if ch == "+" else -1
+            prev = ""
+            started = False
+            continue
+        cur.append(ch)
+        if not ch.isspace():
+            prev = ch
+            started = True
+    if depth != 0:
+        raise ParseError("unbalanced '('")
+    last = "".join(cur).strip()
+    if not last:
+        raise ParseError("dangling sign at end of polynomial")
+    terms.append((sign, last))
+    return terms
+
+
+def _parse_term(B: Idyll, sign: int, body: str):
+    depth = 0
+    xpos = -1
+    for idx, ch in enumerate(body):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == "x" and depth == 0:
+            xpos = idx
+            break
+    if xpos < 0:
+        lit = body.strip()
+        deg = 0
+    else:
+        lit = body[:xpos].rstrip()
+        if lit.endswith("*"):
+            lit = lit[:-1]
+        lit = lit.strip()
+        rest = body[xpos + 1 :].strip()
+        if not rest:
+            deg = 1
+        elif rest.startswith("^"):
+            deg = _parse_int(rest[1:], "exponent")
+            if deg < 0:
+                raise ParseError(f"negative exponent in {body!r}")
+        else:
+            raise ParseError(f"unexpected text after x in {body!r}")
+    if not lit:
+        coeff = B.one
+    elif sign < 0 and not B.minus_means_epsilon:
+        # the minus binds into the value literal, e.g. trop "-3" = 1^-3
+        try:
+            coeff = B.parse_element("-" + lit)
+            sign = 1
+        except ParseError:
+            coeff = B.parse_element(lit)
+    else:
+        coeff = B.parse_element(lit)
+    if sign < 0:
+        coeff = B.mul(B.epsilon, coeff)
+    return deg, coeff
+
+
+def parse_poly(text: str, idyll: Idyll) -> Polynomial:
+    """Parse terms like "72 - 6x - 7x^2 + x^3" with idyll-specific literals.
+
+    Each degree may appear once; separators are + and - at paren depth 0;
+    coefficients may be attached with or without *.
+    """
+    seen = {}
+    for sign, body in _split_terms(text):
+        deg, coeff = _parse_term(idyll, sign, body)
+        if deg in seen:
+            raise ParseError(f"duplicate degree {deg} in {text!r}")
+        seen[deg] = coeff
+    coeffs = [idyll.zero] * (max(seen) + 1)
+    for d, c in seen.items():
+        coeffs[d] = c
+    return Polynomial(idyll, coeffs)
 
 
 # ---------------------------------------------------------------------------

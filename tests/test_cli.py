@@ -6,18 +6,15 @@ from fractions import Fraction
 
 import pytest
 
+from idylls import cli, oracle
 from idylls.algebra import ParseError, krasner, rational_field, sign_idyll
 from idylls.extension import signed_tropical, tropical
-from idylls.cli import (
-    DEMO_NAMES,
-    build_parser,
-    main,
-    parse_idyll_name,
-    parse_poly,
-    run_demo,
-)
+from idylls.cli import DEMO_NAMES, build_parser, main, run_demo
+from idylls.oag import OagValue
 from idylls.poly import (
     Polynomial,
+    parse_idyll_name,
+    parse_poly,
     sign_of_poly,
     trop_of_rational,
     trop_real_of_rational,
@@ -99,29 +96,40 @@ def test_parse_error_on_garbage():
 
 def test_grammar_round_trip_fuzz():
     rng = random.Random(17)
-    idylls = [S, K, Q, T, TR, tropical(2), signed_tropical(2)]
-    for _ in range(300):
-        B = rng.choice(idylls)
-        deg = rng.randrange(0, 6)
-        coeffs = []
-        for i in range(deg + 1):
-            if rng.random() < 0.3 and i < deg:
-                coeffs.append(B.zero)
-            elif B is S or B is K:
-                coeffs.append(rng.choice([u for u in B.elements if not B.is_zero(u)]))
-            elif B is Q:
-                coeffs.append(Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)))
-            else:
-                unit = rng.choice([1, -1]) if not B.valuation_literals else 1
-                lv = tuple(
-                    Fraction(rng.randrange(-3, 4), rng.choice([1, 2]))
-                    for _ in range(B.rank)
-                )
-                coeffs.append(B.elem(unit, lv if B.rank > 1 else lv[0]))
-        f = Polynomial(B, coeffs)
-        if f.is_zero:
-            continue
-        assert parse_poly(str(f), B) == f, (B.name, str(f))
+
+    def units(B):
+        return [u for u in B.elements if not B.is_zero(u)]
+
+    def level(rank):
+        return tuple(
+            Fraction(rng.randrange(-3, 4), rng.choice([1, 2])) for _ in range(rank)
+        )
+
+    def coefficient(B):
+        if B.elements is not None:
+            return rng.choice(units(B))
+        if B.name == "field:Q":
+            return Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+        if B.name == "phase":
+            return Fraction(rng.randrange(16), 16)
+        if B.name.startswith("oag:"):
+            return OagValue(level(B.rank))
+        return B.elem(rng.choice(units(B.base)), level(B.rank))
+
+    for name in (
+        "sign", "krasner", "field:Q", "trop", "trop-real", "trop:rank-2",
+        "trop-real:rank-2", "phase", "f1pm", "field:GF(7)", "quot:GF(5)/{1,4}",
+        "oag:rank-2", "ext:quot:GF(5)/{1,4}:1",
+    ):
+        B = parse_idyll_name(name)
+        for _ in range(200):
+            deg = rng.randrange(0, 6)
+            coeffs = [
+                B.zero if rng.random() < 0.3 and i < deg else coefficient(B)
+                for i in range(deg + 1)
+            ]
+            f = Polynomial(B, coeffs)
+            assert parse_poly(str(f), B) == f, (name, str(f))
 
 
 # -- coefficientwise morphisms -------------------------------------------------------
@@ -315,6 +323,20 @@ def test_demo_reports_have_lines():
     assert report["passed"] and report["lines"]
 
 
+def test_wrong_pinned_value_fails_verify_and_demo(monkeypatch, capsys):
+    rows = list(oracle.PINNED_CHECKS)
+    i = next(i for i, row in enumerate(rows) if row[0] == "catalan")
+    rows[i] = rows[i][:4] + ([("1^5", 1)],)
+    # both readers of the table see the wrong row
+    monkeypatch.setattr(oracle, "PINNED_CHECKS", tuple(rows))
+    monkeypatch.setattr(cli, "PINNED_CHECKS", tuple(rows))
+    for argv in (["verify"], ["demo", "catalan"]):
+        rc = main(argv)
+        out = capsys.readouterr().out
+        assert rc == 3, argv
+        assert "MISMATCH" in out, argv
+
+
 # -- exit codes ------------------------------------------------------------------------
 
 
@@ -332,6 +354,20 @@ def test_unknown_idyll_exit_2(capsys):
 
 def test_bad_element_literal_exit_2(capsys):
     rc = main(["mult", "--idyll", "sign", "--poly", "1 - x", "--at", "7"])
+    capsys.readouterr()
+    assert rc == 2
+
+
+def test_rank_zero_exit_2(capsys):
+    rc = main(["roots", "--idyll", "trop", "--rank", "0", "--poly", "0 + x"])
+    capsys.readouterr()
+    assert rc == 2
+
+
+def test_prime_zero_exit_2(capsys):
+    rc = main(
+        ["roots", "--idyll", "trop", "--prime", "0", "--poly", "72 - 6x - 7x^2 + x^3"]
+    )
     capsys.readouterr()
     assert rc == 2
 

@@ -10,6 +10,9 @@ from idylls.algebra import UnsupportedOperationError, krasner, sign_idyll
 from idylls.extension import signed_tropical, tropical
 from idylls.mult import mult_closed_form, multiplicity
 from idylls.oracle import (
+    DEMO_INTROS,
+    DEMO_NAMES,
+    PINNED_CHECKS,
     OracleReport,
     bounded_extension_oracle,
     exhaustive_multiplicity,
@@ -34,11 +37,24 @@ def test_pinned_corpus_is_green():
 
 
 def test_report_line_format():
-    r = OracleReport("sample", 1, 2, False, "context")
+    r = OracleReport("sample", 1, 2, False)
     line = r.line()
     assert "MISMATCH" in line and "sample" in line
-    ok = OracleReport("sample", 1, 1, True, "")
+    ok = OracleReport("sample", 1, 1, True)
     assert ok.line().startswith("ok")
+
+
+def test_pinned_table_shape():
+    groups = [row[0] for row in PINNED_CHECKS]
+    runs = [g for i, g in enumerate(groups) if i == 0 or g != groups[i - 1]]
+    # each group is one contiguous, nonempty run of rows, in demo order
+    assert tuple(runs) == DEMO_NAMES
+    assert set(DEMO_INTROS) == set(DEMO_NAMES)
+    # one report per row, plus the epsilon check that has no polynomial, and
+    # no two rows ask the same query of the same instance at the same point
+    names = [r.name for r in run_pinned_corpus()]
+    assert len(names) == len(PINNED_CHECKS) + 1
+    assert len(set(names)) == len(names)
 
 
 def test_exhaustive_multiplicity_literal_enumeration():
