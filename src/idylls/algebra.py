@@ -10,6 +10,11 @@ two-element partial field), rational and finite prime fields, quotient
 hyperfields GF(p)/G, value-group idylls of any rank, exact sign and p-adic
 coefficient maps, and an axiom-checking harness used by tests and the CLI.
 
+The finite carriers (Krasner, signs, the partial field, GF(p) and GF(p)/G)
+share one descriptor, ``FiniteIdyll``: a listed monoid with zero plus a null
+rule. Each subclass states its null rule; GF(p) and GF(p)/G also state their
+multiplication.
+
 Elements are plain values interpreted by their owning descriptor: small ints
 for the finite idylls and prime-field residues, Fraction for rationals and
 phase angles (fractions of a full turn), QuotientClass for coset classes,
@@ -174,29 +179,22 @@ class FormalSum:
         body = " + ".join(self.idyll.format_element(t) for t in self.terms) or "0"
         return f"<{body} over {self.idyll.name}>"
 
-    def scale(self, u) -> "FormalSum":
-        return FormalSum(self.idyll, [self.idyll.mul(u, t) for t in self.terms])
-
-    def concat(self, other: "FormalSum") -> "FormalSum":
-        if self.idyll != other.idyll:
-            raise StructuralError("cannot concatenate sums over different idylls")
-        return FormalSum(self.idyll, self.terms + other.terms)
-
 
 class Idyll:
     """Base descriptor. Subclasses fill in the attributes in ``__init__``.
 
     Required attributes: name, kind, zero, one, epsilon, elements (tuple or
-    None for infinite carriers), is_whole, minus_means_epsilon
-    (polynomial-grammar hint: whether a leading '-' multiplies the
-    coefficient by epsilon, or binds into a valuation literal).
+    None for infinite carriers), is_whole. Optional: valuation_literals
+    (polynomial-grammar hint, default False: when True, literals are
+    valuations and a leading '-' binds into the literal instead of
+    multiplying the coefficient by epsilon).
     """
 
     name: str
     kind: str
     elements: Optional[tuple]
     is_whole: bool
-    minus_means_epsilon: bool = True
+    valuation_literals: bool = False
 
     # -- identity ---------------------------------------------------------
 
@@ -261,25 +259,10 @@ class Idyll:
         return self.null_terms(terms)
 
     def sum_set(self, a, b) -> SumSet:
-        """{c : a + b - c is null}. Finite carriers scan; closed forms override.
-
-        Each scanned pair is kept in a per-idyll table, filled on first use,
-        so a carrier of size q holds at most q*q sum sets.
-        """
-        table = self.__dict__.setdefault("_sum_sets", {})
-        s = table.get((a, b))
-        if s is None:
-            if self.elements is None:
-                raise UnsupportedOperationError(
-                    f"{self.name} has no finite enumeration and no sum-set closed form"
-                )
-            eps = self.epsilon
-            s = table[(a, b)] = SumSet(
-                frozenset(
-                    c for c in self.elements if self.is_null([a, b, self.mul(eps, c)])
-                )
-            )
-        return s
+        """{c : a + b - c is null}. FiniteIdyll scans; closed forms override."""
+        raise UnsupportedOperationError(
+            f"{self.name} has no finite enumeration and no sum-set closed form"
+        )
 
     def third_summands(self, a, b) -> SumSet:
         """{c : a + b + c is null} — the sum set scaled by epsilon."""
@@ -298,92 +281,85 @@ class Idyll:
 # finite small idylls
 
 
-class KrasnerIdyll(Idyll):
-    """Two elements {0, 1}; every sum of two or more ones is null."""
+class FiniteIdyll(Idyll):
+    """A finite carrier: listed elements plus the null rule of a subclass.
 
-    def __init__(self):
-        self.name = "krasner"
-        self.kind = "krasner"
-        self.zero = 0
-        self.one = 1
-        self.epsilon = 1
-        self.elements = (0, 1)
-        self.is_whole = True
-        self.minus_means_epsilon = True
+    ``elements`` lists zero, then one, then the other units, in sort order.
+    Multiplication defaults to the integer product and every unit is its own
+    inverse, as in {0, 1} and {0, 1, -1}; other carriers override both.
+    """
+
+    def __init__(self, name: str, kind: str, elements: tuple, epsilon, is_whole: bool):
+        self.name = name
+        self.kind = kind
+        self.elements = elements
+        self.zero = elements[0]
+        self.one = elements[1]
+        self.epsilon = epsilon
+        self.is_whole = is_whole
+        # sort rank of each element, zero last
+        self._order = {x: i for i, x in enumerate(elements[1:] + elements[:1])}
+        # sum sets, each scanned on first use: at most len(elements)**2 entries
+        self._sum_sets = {}
 
     def contains(self, x):
-        return isinstance(x, int) and not isinstance(x, bool) and x in (0, 1)
+        return type(x) is type(self.zero) and x in self._order
 
     def is_zero(self, x):
-        return x == 0
+        return x == self.zero
 
     def mul(self, a, b):
         return a * b
 
     def inv(self, a):
-        if a == 0:
+        if a == self.zero:
             raise ZeroDivisionError("0 is not a unit")
-        return 1
+        return a
 
     def sort_key(self, x):
-        return (1,) if x == 0 else (0,)
+        return self._order[x]
 
     def format_element(self, x):
         return str(x)
 
     def parse_element(self, text):
-        t = text.strip()
-        if t in ("0", "1"):
-            return int(t)
-        if t in ("+1", "-1"):  # epsilon is 1, so -1 means 1
-            return 1
-        raise ParseError(f"not a Krasner element: {text!r}")
+        """An integer literal; a leading minus multiplies by epsilon."""
+        try:
+            n = int(text.strip().lstrip("+"))
+            x = self.mul(self.one, abs(n))
+            if not self.contains(x):
+                raise ValueError
+        except ValueError:
+            raise ParseError(f"not an element of {self.name}: {text!r}") from None
+        return self.mul(self.epsilon, x) if n < 0 else x
+
+    def sum_set(self, a, b):
+        s = self._sum_sets.get((a, b))
+        if s is None:
+            eps = self.epsilon
+            s = self._sum_sets[a, b] = SumSet(
+                frozenset(
+                    c for c in self.elements if self.is_null([a, b, self.mul(eps, c)])
+                )
+            )
+        return s
+
+
+class KrasnerIdyll(FiniteIdyll):
+    """Two elements {0, 1}; every sum of two or more ones is null."""
+
+    def __init__(self):
+        super().__init__("krasner", "krasner", (0, 1), 1, True)
 
     def null_terms(self, terms):
         return len(terms) != 1
 
 
-class SignIdyll(Idyll):
+class SignIdyll(FiniteIdyll):
     """{0, +1, -1}; a sum is null iff both signs occur (or it is empty)."""
 
     def __init__(self):
-        self.name = "sign"
-        self.kind = "sign"
-        self.zero = 0
-        self.one = 1
-        self.epsilon = -1
-        self.elements = (0, 1, -1)
-        self.is_whole = True
-
-    def contains(self, x):
-        return isinstance(x, int) and not isinstance(x, bool) and x in (-1, 0, 1)
-
-    def is_zero(self, x):
-        return x == 0
-
-    def mul(self, a, b):
-        return a * b
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("0 is not a unit")
-        return a
-
-    def sort_key(self, x):
-        return (1,) if x == 0 else (0, 0 if x == 1 else 1)
-
-    def format_element(self, x):
-        return str(x)
-
-    def parse_element(self, text):
-        t = text.strip().lstrip("+")
-        try:
-            v = int(t)
-        except ValueError:
-            raise ParseError(f"not a sign element: {text!r}") from None
-        if v in (-1, 0, 1):
-            return v
-        raise ParseError(f"not a sign element: {text!r}")
+        super().__init__("sign", "sign", (0, 1, -1), -1, True)
 
     def null_terms(self, terms):
         if not terms:
@@ -391,50 +367,14 @@ class SignIdyll(Idyll):
         return 1 in terms and -1 in terms
 
 
-class PartialFieldIdyll(Idyll):
+class PartialFieldIdyll(FiniteIdyll):
     """The two-unit partial field {0, ±1}: null sums pair off +1 with -1.
 
     Not whole: 1 + 1 has an empty sum set, so addition is only partial.
     """
 
     def __init__(self):
-        self.name = "f1pm"
-        self.kind = "f1pm"
-        self.zero = 0
-        self.one = 1
-        self.epsilon = -1
-        self.elements = (0, 1, -1)
-        self.is_whole = False
-
-    def contains(self, x):
-        return isinstance(x, int) and not isinstance(x, bool) and x in (-1, 0, 1)
-
-    def is_zero(self, x):
-        return x == 0
-
-    def mul(self, a, b):
-        return a * b
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("0 is not a unit")
-        return a
-
-    def sort_key(self, x):
-        return (1,) if x == 0 else (0, 0 if x == 1 else 1)
-
-    def format_element(self, x):
-        return str(x)
-
-    def parse_element(self, text):
-        t = text.strip().lstrip("+")
-        try:
-            v = int(t)
-        except ValueError:
-            raise ParseError(f"not a unit-pair element: {text!r}") from None
-        if v in (-1, 0, 1):
-            return v
-        raise ParseError(f"not a unit-pair element: {text!r}")
+        super().__init__("f1pm", "f1pm", (0, 1, -1), -1, False)
 
     def null_terms(self, terms):
         return sum(1 for t in terms if t == 1) == sum(1 for t in terms if t == -1)
@@ -575,28 +515,16 @@ class RationalFieldIdyll(Idyll):
         return tuple(sorted(set(pool)))
 
 
-class FiniteFieldIdyll(Idyll):
+class FiniteFieldIdyll(FiniteIdyll):
     """GF(p) for a prime p, residues 0..p-1; null iff the sum is 0 mod p."""
 
     def __init__(self, p: int):
         _require_prime(p)
         self.p = p
-        self.name = f"field:GF({p})"
-        self.kind = "field-gf"
-        self.zero = 0
-        self.one = 1 % p
-        self.epsilon = (p - 1) % p
-        self.elements = tuple(range(p))
-        self.is_whole = True
+        super().__init__(f"field:GF({p})", "field-gf", tuple(range(p)), p - 1, True)
 
     def _key(self):
         return (self.kind, self.p)
-
-    def contains(self, x):
-        return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < self.p
-
-    def is_zero(self, x):
-        return x == 0
 
     def mul(self, a, b):
         return (a * b) % self.p
@@ -605,18 +533,6 @@ class FiniteFieldIdyll(Idyll):
         if a == 0:
             raise ZeroDivisionError("0 is not a unit")
         return pow(a, -1, self.p)
-
-    def sort_key(self, x):
-        return (1,) if x == 0 else (0, x)
-
-    def format_element(self, x):
-        return str(x)
-
-    def parse_element(self, text):
-        try:
-            return int(text.strip()) % self.p
-        except ValueError:
-            raise ParseError(f"not a GF({self.p}) residue: {text!r}") from None
 
     def null_terms(self, terms):
         return sum(terms) % self.p == 0
@@ -629,7 +545,7 @@ class FiniteFieldIdyll(Idyll):
 # quotient hyperfields GF(p)/G
 
 
-class QuotientIdyll(Idyll):
+class QuotientIdyll(FiniteIdyll):
     """Cosets of a subgroup G of GF(p)^x, plus zero.
 
     A sum of classes is null iff some choice of representatives sums to 0
@@ -645,33 +561,23 @@ class QuotientIdyll(Idyll):
             raise StructuralError(f"{sorted(g)} is not a subgroup of GF({p})^x")
         self.p = p
         self.subgroup = g
-        classes = {}
-        for r in range(1, p):
-            cls = frozenset((r * h) % p for h in g)
-            classes[r] = QuotientClass(p, cls)
-        classes[0] = QuotientClass(p, frozenset({0}))
-        self._class_of = classes
-        self.name = "quot:GF(%d)/{%s}" % (p, ",".join(str(x) for x in sorted(g)))
-        self.kind = "quotient"
-        self.zero = classes[0]
-        self.one = classes[1]
-        self.epsilon = classes[p - 1]
-        self.elements = tuple(
-            sorted(set(classes.values()), key=lambda c: (c.reps != frozenset({0}), c.rep))
+        self._class_of = {
+            r: QuotientClass(p, frozenset((r * h) % p for h in g)) for r in range(p)
+        }
+        super().__init__(
+            "quot:GF(%d)/{%s}" % (p, ",".join(str(x) for x in sorted(g))),
+            "quotient",
+            # the zero class has rep 0, so it sorts first
+            tuple(sorted(set(self._class_of.values()), key=lambda c: c.rep)),
+            self._class_of[p - 1],
+            True,
         )
-        self.is_whole = True
 
     def _key(self):
         return (self.kind, self.p, self.subgroup)
 
     def class_of(self, residue: int) -> QuotientClass:
         return self._class_of[residue % self.p]
-
-    def contains(self, x):
-        return isinstance(x, QuotientClass) and x.p == self.p and x in self.elements
-
-    def is_zero(self, x):
-        return x.reps == frozenset({0})
 
     def mul(self, a, b):
         return self.class_of(a.rep * b.rep)
@@ -680,9 +586,6 @@ class QuotientIdyll(Idyll):
         if self.is_zero(a):
             raise ZeroDivisionError("0 is not a unit")
         return self.class_of(pow(a.rep, -1, self.p))
-
-    def sort_key(self, x):
-        return (1,) if self.is_zero(x) else (0, x.rep)
 
     def format_element(self, x):
         return "0" if self.is_zero(x) else f"[{x.rep}]"
@@ -726,7 +629,7 @@ class OagIdyll(Idyll):
         self.epsilon = oag_zero(rank)
         self.elements = None
         self.is_whole = True
-        self.minus_means_epsilon = False
+        self.valuation_literals = True
 
     def _key(self):
         return (self.kind, self.rank)

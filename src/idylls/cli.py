@@ -25,8 +25,14 @@ from .algebra import (
     UnsupportedOperationError,
     check_idyll_axioms,
     rational_field,
+    sign_idyll,
 )
-from .extension import ExtensionDescriptor, check_extension_axioms
+from .extension import (
+    ExtensionDescriptor,
+    check_extension_axioms,
+    signed_tropical,
+    tropical,
+)
 from .mult import (
     SearchCapExceeded,
     degree_bound_check,
@@ -86,6 +92,8 @@ def chain_json(chain) -> dict:
 
 def _resolve_idyll(args) -> Idyll:
     name = args.idyll
+    if name is None and getattr(args, "prime", None) is not None:
+        name = "trop"
     if name is None:
         raise ParseError("--idyll is required for this command")
     rank = getattr(args, "rank", None)
@@ -98,23 +106,20 @@ def _resolve_idyll(args) -> Idyll:
 
 
 def _poly_and_idyll(args):
-    prime = getattr(args, "prime", None)
-    if prime is not None:
-        F = parse_poly(args.poly, rational_field())
-        target = args.idyll or "trop"
-        if target in ("trop", "field:Q"):
-            f = trop_of_rational(F, prime)
-        elif target == "trop-real":
-            f = trop_real_of_rational(F, prime)
-        elif target == "sign":
-            f = sign_of_poly(F)
-        else:
-            raise ParseError(
-                "--prime maps rational coefficients into trop, trop-real, or sign"
-            )
-        return f.idyll, f
     B = _resolve_idyll(args)
-    return B, parse_poly(args.poly, B)
+    if args.prime is None:
+        return B, parse_poly(args.poly, B)
+    to_target = {
+        tropical(): trop_of_rational,
+        signed_tropical(): trop_real_of_rational,
+        sign_idyll(): lambda F, p: sign_of_poly(F),
+    }.get(B)
+    if to_target is None:
+        raise ParseError(
+            "--prime maps rational coefficients into trop, trop-real, or sign (rank 1)"
+        )
+    f = to_target(parse_poly(args.poly, rational_field()), args.prime)
+    return f.idyll, f
 
 
 def _emit(args, payload: dict, lines) -> None:

@@ -68,7 +68,9 @@ class ExtensionDescriptor(Idyll):
     """An idyll of base units graded by a rank-n value group.
 
     ``cocycle`` is a map (level, level) -> base unit twisting multiplication;
-    None means the split (untwisted) extension. The null rule — restrict to
+    None means the split (untwisted) extension. A twisted extension needs a
+    ``name``, and two twisted extensions are equal when their names, bases
+    and ranks are. The null rule — restrict to
     minimal-level terms, read their units in the base — is independent of the
     cocycle, because dividing by the unit-1 representative of the minimal
     level returns exactly the stored units.
@@ -82,6 +84,8 @@ class ExtensionDescriptor(Idyll):
             )
         if rank < 0:
             raise ValueError("rank must be nonnegative")
+        if cocycle is not None and name is None:
+            raise ValueError("a twisted extension needs a name")
         self.base = base
         self.rank = rank
         self.cocycle = cocycle
@@ -102,10 +106,10 @@ class ExtensionDescriptor(Idyll):
         self.is_whole = base.is_whole
         # Krasner units are trivial, so literals read as valuations there
         self.valuation_literals = base.kind == "krasner"
-        self.minus_means_epsilon = not self.valuation_literals
 
     def _key(self):
-        return (self.kind, self.base._key(), self.rank, id(self.cocycle) if self.cocycle else None)
+        # a cocycle is a function; its declared name stands for it
+        return (self.kind, self.base._key(), self.rank, self.name if self.cocycle else None)
 
     @property
     def is_split(self) -> bool:

@@ -305,7 +305,7 @@ def _parse_term(B: Idyll, sign: int, body: str):
             raise ParseError(f"unexpected text after x in {body!r}")
     if not lit:
         coeff = B.one
-    elif sign < 0 and not B.minus_means_epsilon:
+    elif sign < 0 and B.valuation_literals:
         # the minus binds into the value literal, e.g. trop "-3" = 1^-3
         try:
             coeff = B.parse_element("-" + lit)

@@ -302,6 +302,7 @@ def test_parse_format_round_trip_catalog():
     cases = [
         (K, ["0", "1"]),
         (S, ["0", "1", "-1"]),
+        (F, ["0", "1", "-1"]),
         (Q, ["0", "7", "-3/4"]),
         (F5, ["0", "1", "4"]),
     ]
@@ -309,12 +310,33 @@ def test_parse_format_round_trip_catalog():
         for t in texts:
             x = B.parse_element(t)
             assert B.parse_element(B.format_element(x)) == x
+    # a leading minus multiplies by epsilon; residues reduce mod p
+    for B, text, x in [
+        (K, "-1", 1),
+        (K, "+1", 1),
+        (S, "-1", -1),
+        (F, "-1", -1),
+        (F5, "7", 2),
+        (F5, "-1", 4),
+    ]:
+        assert B.parse_element(text) == x
 
 
 def test_parse_errors_are_uniform():
-    for B, bad in [(K, "2"), (S, "5"), (F5, "x"), (Q, "1..2")]:
+    for B, bad in [(K, "2"), (S, "5"), (F, "2"), (F, "x"), (F5, "x"), (Q, "1..2")]:
         with pytest.raises(ParseError):
             B.parse_element(bad)
+
+
+SORTED_CARRIERS = {K: [1, 0], S: [1, -1, 0], F: [1, -1, 0], F5: [1, 2, 3, 4, 0]}
+
+
+@pytest.mark.parametrize("B", SORTED_CARRIERS, ids=lambda b: b.name)
+def test_finite_carrier_membership_and_order(B):
+    assert B.elements[0] == B.zero
+    assert sorted(B.elements, key=B.sort_key) == SORTED_CARRIERS[B]
+    for x in (True, Fraction(1), min(B.elements) - 1, max(B.elements) + 1):
+        assert not B.contains(x)
 
 
 # -- sum-set container semantics ----------------------------------------------

@@ -372,6 +372,23 @@ def test_prime_zero_exit_2(capsys):
     assert rc == 2
 
 
+def test_prime_keeps_rank_exit_2(capsys):
+    rc = main(
+        ["roots", "--idyll", "trop", "--rank", "2", "--prime", "2",
+         "--poly", "72 - 6x - 7x^2 + x^3"]
+    )
+    capsys.readouterr()
+    assert rc == 2
+
+
+def test_prime_over_rationals_exit_2(capsys):
+    rc = main(
+        ["roots", "--idyll", "field:Q", "--prime", "2", "--poly", "72 - 6x - 7x^2 + x^3"]
+    )
+    capsys.readouterr()
+    assert rc == 2
+
+
 def test_composite_prime_exit_2(capsys):
     rc = main(
         ["mult", "--idyll", "trop", "--poly", "1 + x", "--prime", "4", "--at", "0"]

@@ -189,6 +189,19 @@ def test_twisted_multiplication_respects_the_isomorphism():
         assert into(TR.mul(a, b)) == E.mul(into(a), into(b))
 
 
+def test_twisted_extensions_compare_by_name():
+    def phi(g):
+        return -1 if (g.coords[0].numerator % 2) else 1
+
+    E = trop_extension(S, 1, cocycle=_coboundary(phi), name="twisted")
+    same = trop_extension(S, 1, cocycle=_coboundary(phi), name="twisted")
+    assert E == same and hash(E) == hash(same)
+    named_like_split = trop_extension(S, 1, cocycle=_coboundary(phi), name=TR.name)
+    assert E != TR and named_like_split != TR
+    with pytest.raises(ValueError):
+        trop_extension(S, 1, cocycle=_coboundary(phi))
+
+
 def test_broken_cocycle_is_flagged_by_the_harness():
     # violates the 2-cocycle identity on levels of mixed parity
     def bad(g1, g2):
