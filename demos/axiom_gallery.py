@@ -15,7 +15,6 @@ from idylls import (
     f1pm,
     finite_field,
     krasner,
-    oag_idyll,
     phase_idyll,
     quotient_hyperfield,
     rational_field,
@@ -24,7 +23,6 @@ from idylls import (
     trop_extension,
     tropical,
 )
-from idylls.oag import oag
 
 RULES = [
     (krasner(), [1, 1], "any sum of two or more nonzero terms"),
@@ -38,7 +36,7 @@ RULES = [
     (quotient_hyperfield(5, (1, 4)),
      [quotient_hyperfield(5, (1, 4)).class_of(r) for r in (1, 1, 2)],
      "some choice of representatives sums to zero mod p"),
-    (oag_idyll(1), [oag(2), oag(2), oag(3)],
+    (tropical(), [tropical().elem(1, v) for v in (2, 2, 3)],
      "the minimum value appears at least twice"),
 ]
 

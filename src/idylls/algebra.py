@@ -7,8 +7,10 @@ to one predicate: is this multiset of elements null?
 
 This module implements the standard small idylls (Krasner, signs, phases, the
 two-element partial field), rational and finite prime fields, quotient
-hyperfields GF(p)/G, value-group idylls of any rank, exact sign and p-adic
-coefficient maps, and an axiom-checking harness used by tests and the CLI.
+hyperfields GF(p)/G, exact sign and p-adic coefficient maps, and an
+axiom-checking harness used by tests and the CLI. Value groups of any rank
+enter only through tropical extensions (`idylls.extension`): the tropical
+hyperfield of rank n is the extension of the Krasner hyperfield by Q^n.
 
 The finite carriers (Krasner, signs, the partial field, GF(p) and GF(p)/G)
 share one descriptor, ``FiniteIdyll``: a listed monoid with zero plus a null
@@ -18,8 +20,8 @@ multiplication.
 Elements are plain values interpreted by their owning descriptor: small ints
 for the finite idylls and prime-field residues, Fraction for rationals and
 phase angles (fractions of a full turn), QuotientClass for coset classes,
-OagValue for value-group idylls, ExtElement for tropical extensions. Each
-descriptor knows its own zero; formal sums drop zeros on construction.
+ExtElement for tropical extensions. Each descriptor knows its own zero;
+formal sums drop zeros on construction.
 """
 
 from __future__ import annotations
@@ -31,18 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional
 
-from .oag import (
-    INFINITY,
-    OagValue,
-    ParseError,
-    format_oag_value,
-    format_rational,
-    oag_add,
-    oag_cmp,
-    oag_neg,
-    oag_zero,
-    parse_oag_value,
-)
+from .oag import INFINITY, OagValue, ParseError, format_rational, oag_cmp
 
 # Any value interpretable by some descriptor; see the module docstring.
 MonoidElement = object
@@ -100,21 +91,22 @@ class SumSet:
     """The set {c : a + b - c is null}, possibly with an infinite upper tail.
 
     ``core`` is the finite part. Over a tropical extension the set can also
-    contain every element of valuation strictly above ``tail_above``; base
-    idylls always have ``tail_above=None``. Iteration yields only the core;
-    membership honors the tail.
+    contain every element of level strictly above ``tail_above`` (the zero
+    element lies above every level); base idylls always have
+    ``tail_above=None``. Iteration yields only the core; membership honors
+    the tail.
     """
 
     core: frozenset
     tail_above: Optional[OagValue] = None
-    tail_val: Optional[object] = None  # element -> OagValue, used for the tail test
 
     def __contains__(self, x) -> bool:
         if x in self.core:
             return True
-        if self.tail_above is not None:
-            return oag_cmp(self.tail_val(x), self.tail_above) > 0
-        return False
+        if self.tail_above is None:
+            return False
+        # a tail only arises over an extension, whose elements carry a level
+        return x.level is None or oag_cmp(x.level, self.tail_above) > 0
 
     def __iter__(self):
         return iter(self.core)
@@ -268,7 +260,7 @@ class Idyll:
         """{c : a + b + c is null} — the sum set scaled by epsilon."""
         s = self.sum_set(a, b)
         core = frozenset(self.mul(self.epsilon, c) for c in s.core)
-        return SumSet(core, s.tail_above, s.tail_val)
+        return SumSet(core, s.tail_above)
 
     # -- sampling for the axiom harness -------------------------------------
 
@@ -519,7 +511,7 @@ class FiniteFieldIdyll(FiniteIdyll):
     """GF(p) for a prime p, residues 0..p-1; null iff the sum is 0 mod p."""
 
     def __init__(self, p: int):
-        _require_prime(p)
+        require_prime(p)
         self.p = p
         super().__init__(f"field:GF({p})", "field-gf", tuple(range(p)), p - 1, True)
 
@@ -553,7 +545,7 @@ class QuotientIdyll(FiniteIdyll):
     """
 
     def __init__(self, p: int, subgroup: frozenset):
-        _require_prime(p)
+        require_prime(p)
         g = frozenset(int(x) % p for x in subgroup)
         if not g or 0 in g:
             raise StructuralError("subgroup must consist of nonzero residues")
@@ -607,96 +599,6 @@ class QuotientIdyll(FiniteIdyll):
 
 
 # ---------------------------------------------------------------------------
-# value-group idylls
-
-
-class OagIdyll(Idyll):
-    """A rank-n value group as an idyll: carrier = vectors plus inf.
-
-    Written additively: the monoid unit is the zero vector, the absorbing
-    element is inf, "multiplication" is vector addition. A sum is null iff
-    its lexicographic minimum occurs at least twice.
-    """
-
-    def __init__(self, rank: int):
-        if rank < 0:
-            raise ValueError("rank must be nonnegative")
-        self.rank = rank
-        self.name = f"oag:rank-{rank}"
-        self.kind = "oag"
-        self.zero = INFINITY
-        self.one = oag_zero(rank)
-        self.epsilon = oag_zero(rank)
-        self.elements = None
-        self.is_whole = True
-        self.valuation_literals = True
-
-    def _key(self):
-        return (self.kind, self.rank)
-
-    def contains(self, x):
-        return isinstance(x, OagValue) and (x.is_infinite or x.rank == self.rank)
-
-    def is_zero(self, x):
-        return x.is_infinite
-
-    def mul(self, a, b):
-        return oag_add(a, b)
-
-    def inv(self, a):
-        if a.is_infinite:
-            raise ZeroDivisionError("inf is not a unit")
-        return oag_neg(a)
-
-    def sort_key(self, x):
-        return (1,) if x.is_infinite else (0, x.coords)
-
-    def format_element(self, x):
-        return format_oag_value(x)
-
-    def parse_element(self, text):
-        try:
-            return parse_oag_value(text, rank=None if text.strip() == "inf" else self.rank)
-        except (ValueError, ZeroDivisionError) as e:
-            raise ParseError(f"not a rank-{self.rank} value: {text!r} ({e})") from None
-
-    def null_terms(self, terms):
-        if not terms:
-            return True
-        lowest = terms[0]
-        count = 1
-        for t in terms[1:]:
-            c = oag_cmp(t, lowest)
-            if c < 0:
-                lowest, count = t, 1
-            elif c == 0:
-                count += 1
-        return count >= 2
-
-    def sum_set(self, a, b):
-        if a.is_infinite and b.is_infinite:
-            return SumSet(frozenset({INFINITY}))
-        if a.is_infinite:
-            return SumSet(frozenset({b}))
-        if b.is_infinite:
-            return SumSet(frozenset({a}))
-        c = oag_cmp(a, b)
-        if c != 0:
-            return SumSet(frozenset({a if c < 0 else b}))
-        # equal minima already cancel: any value strictly above joins, and inf
-        return SumSet(frozenset({a, INFINITY}), tail_above=a, tail_val=lambda x: x)
-
-    def sample_elements(self, rng):
-        pool = [INFINITY]
-        span = [Fraction(k) for k in (-2, -1, 0, 1, 2)]
-        for coords in itertools.product(span, repeat=self.rank):
-            pool.append(OagValue(coords))
-            if len(pool) > 40:
-                break
-        return tuple(pool)
-
-
-# ---------------------------------------------------------------------------
 # factories (cached so descriptor identity is stable across call sites)
 
 
@@ -731,11 +633,6 @@ def finite_field(p: int) -> FiniteFieldIdyll:
 
 
 @lru_cache(maxsize=None)
-def oag_idyll(rank: int) -> OagIdyll:
-    return OagIdyll(rank)
-
-
-@lru_cache(maxsize=None)
 def _quotient_cached(p: int, subgroup: frozenset) -> QuotientIdyll:
     return QuotientIdyll(p, subgroup)
 
@@ -745,14 +642,33 @@ def quotient_hyperfield(p: int, subgroup) -> QuotientIdyll:
     return _quotient_cached(p, frozenset(int(x) for x in subgroup))
 
 
-def _require_prime(p: int) -> None:
+# Miller-Rabin with these bases is exact for every n below _MR_LIMIT
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def require_prime(p: int) -> None:
+    """Raise ValueError unless p is a prime below _MR_LIMIT."""
     if not isinstance(p, int) or p < 2:
         raise ValueError(f"{p!r} is not a prime")
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    if p >= _MR_LIMIT:
+        raise ValueError(f"{p} is too large to certify as a prime")
+    if p in _MR_BASES:
+        return
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             raise ValueError(f"{p} is not a prime")
-        d += 1
 
 
 # ---------------------------------------------------------------------------
@@ -784,7 +700,7 @@ def sign_of_rational(q) -> int:
 
 def padic_valuation(q, p: int) -> OagValue:
     """Exact p-adic valuation of a rational as a rank-1 value; v(0) = inf."""
-    _require_prime(p)
+    require_prime(p)
     q = Fraction(q)
     if q == 0:
         return INFINITY

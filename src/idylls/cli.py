@@ -19,12 +19,12 @@ from functools import lru_cache
 
 from .algebra import (
     Idyll,
-    OagIdyll,
     ParseError,
     StructuralError,
     UnsupportedOperationError,
     check_idyll_axioms,
     rational_field,
+    require_prime,
     sign_idyll,
 )
 from .extension import (
@@ -45,10 +45,10 @@ from .mult import (
 from .newton import (
     initial_form_at,
     initial_form_rounds,
-    initial_form_split,
     newton_polygon,
     render_polygon,
 )
+from .oag import format_oag_value
 from .oracle import (
     DEMO_INTROS,
     DEMO_NAMES,
@@ -101,7 +101,7 @@ def _resolve_idyll(args) -> Idyll:
         if name in ("trop", "trop-real", "oag"):
             name = f"{name}:rank-{rank}"
         else:
-            raise ParseError("--rank only refines trop, trop-real, or oag")
+            raise ParseError("--rank only refines trop, trop-real, or oag (a spelling of trop)")
     return parse_idyll_name(name)
 
 
@@ -109,6 +109,7 @@ def _poly_and_idyll(args):
     B = _resolve_idyll(args)
     if args.prime is None:
         return B, parse_poly(args.poly, B)
+    require_prime(args.prime)
     to_target = {
         tropical(): trop_of_rational,
         signed_tropical(): trop_real_of_rational,
@@ -236,12 +237,7 @@ def cmd_newton(args) -> int:
 def cmd_initial_form(args) -> int:
     B, f = _poly_and_idyll(args)
     a = B.parse_element(args.at)
-    if isinstance(B, OagIdyll):
-        P, level = initial_form_split(f, a)
-    else:
-        P, level = initial_form_at(f, a)
-    from .oag import format_oag_value
-
+    P, level = initial_form_at(f, a)
     payload = {
         "poly": poly_json(f),
         "at": B.format_element(a),
@@ -252,8 +248,7 @@ def cmd_initial_form(args) -> int:
         f"initial form of ({f}) at {B.format_element(a)}:",
         f"  {P}  (level {format_oag_value(level)})",
     ]
-    rank = getattr(B, "rank", 1)
-    if rank > 1 and isinstance(B, ExtensionDescriptor):
+    if B.rank > 1:
         rounds = initial_form_rounds(f, a.level)
         payload["rounds"] = [poly_json(r) for r in rounds]
         lines.append("projection rounds:")
@@ -362,7 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--poly", required=True, help="polynomial expression")
         if at:
             sp.add_argument("--at", required=True, help="evaluation point literal")
-        sp.add_argument("--rank", type=int, help="rank for trop, trop-real, or oag")
+        sp.add_argument(
+            "--rank", type=int, help="rank for trop or trop-real (oag is a spelling of trop)"
+        )
         sp.add_argument(
             "--prime",
             type=int,

@@ -263,7 +263,7 @@ class ExtensionDescriptor(Idyll):
                 tail_above = a.level
             else:
                 core.add(ExtElement(w, a.level))
-        return SumSet(frozenset(core), tail_above, self.valuation if tail_above is not None else None)
+        return SumSet(frozenset(core), tail_above)
 
     def _base_sum_set(self, u, w) -> SumSet:
         s = self.base.sum_set(u, w)
@@ -302,7 +302,7 @@ class ExtensionDescriptor(Idyll):
             ExtElement(w, level) for w in ws.core if not self.base.is_zero(w)
         )
         if any(self.base.is_zero(w) for w in ws.core):
-            return SumSet(level_part | {EXT_ZERO}, tail_above=level, tail_val=self.valuation)
+            return SumSet(level_part | {EXT_ZERO}, tail_above=level)
         return SumSet(level_part)
 
     # -- sampling -------------------------------------------------------------

@@ -21,7 +21,6 @@ from .algebra import (
     FiniteFieldIdyll,
     ForeignElementError,
     KrasnerIdyll,
-    OagIdyll,
     RationalFieldIdyll,
     SignIdyll,
     StructuralError,
@@ -29,14 +28,8 @@ from .algebra import (
     UnsupportedOperationError,
 )
 from .extension import EXT_ZERO, ExtElement, ExtensionDescriptor
-from .newton import (
-    _as_extension_poly,
-    initial_form_at,
-    initial_form_split,
-    lower_hull,
-)
+from .newton import initial_form_at, lower_hull
 from .oag import (
-    INFINITY,
     OagValue,
     oag_add,
     oag_cmp,
@@ -170,7 +163,7 @@ def divide_once(f: Polynomial, a, tails: str = "auto", cap: int = None) -> list:
         out = []
         for t in levels[bisect_right(levels, bound, key=_coords) :]:
             t = oag_sub(t, shift)
-            out += [t] if units is None else [ExtElement(u, t) for u in units]
+            out += [ExtElement(u, t) for u in units]
         return out
 
     def choices(s: SumSet, position):
@@ -214,35 +207,27 @@ def _tail_pool(f: Polynomial, a, tails: str) -> tuple:
     """Tail candidates as (levels, gamma, units), levels ascending.
 
     Position j offers every unit at level t - (j+1)*gamma for each t in
-    levels; units is None where the elements are the levels themselves. The
-    auto pool takes the shifted support levels and their midpoints with
-    gamma the level of a; the grid pool is already shifted, so gamma is 0.
-    Finite idylls scan their whole carrier, so their sum sets never have
-    tails and the pool stays empty, as it does for tails="none".
+    levels. The auto pool takes the shifted support levels and their
+    midpoints with gamma the level of a; the grid pool is already shifted,
+    so gamma is 0. Only sum sets over a tropical extension have tails (the
+    value groups of every rank live there); every other idyll gets an empty
+    pool, as does tails="none".
     """
     B = f.idyll
-    if tails == "none":
+    if tails == "none" or not isinstance(B, ExtensionDescriptor):
         return [], None, None
-    if isinstance(B, ExtensionDescriptor):
-        if B.base.elements is None:
-            raise UnsupportedOperationError(
-                "tail branching needs a finite unit group; "
-                f"{B.base.name} has infinitely many units"
-            )
-        units = [u for u in B.base.elements if not B.base.is_zero(u)]
-        if tails == "grid":
-            levels = [] if a.is_zero else quotient_level_grid(f, a)
-            return levels, oag_zero(B.rank), units
-        gamma = a.level
-        support_levels = [f.coeffs[i].level for i in f.support]
-    elif isinstance(B, OagIdyll) and tails == "auto":
-        units = None
-        gamma = a
-        support_levels = [f.coeffs[i] for i in f.support]
-    else:
-        return [], None, None
+    if B.base.elements is None:
+        raise UnsupportedOperationError(
+            "tail branching needs a finite unit group; "
+            f"{B.base.name} has infinitely many units"
+        )
+    units = [u for u in B.base.elements if not B.base.is_zero(u)]
+    if tails == "grid":
+        levels = [] if a.is_zero else quotient_level_grid(f, a)
+        return levels, oag_zero(B.rank), units
+    gamma = a.level
     shifted = sorted(
-        {oag_add(v, oag_scale(gamma, i)) for v, i in zip(support_levels, f.support)},
+        {oag_add(f.coeffs[i].level, oag_scale(gamma, i)) for i in f.support},
         key=_coords,
     )
     return _with_midpoints(shifted), gamma, units
@@ -353,8 +338,9 @@ def mult_closed_form(f: Polynomial, a) -> int:
     """Multiplicity via the structure theory, without search.
 
     Dispatch: order of vanishing at 0; support width for trivial units; sign
-    changes for signed coefficients; exact division for fields; initial form
-    recursion for pure value groups and split extensions.
+    changes for signed coefficients; exact division for fields; for a split
+    extension (the tropical numbers of any rank among them), the closed form
+    of the initial form at the level of a.
     """
     B = f.idyll
     if not B.contains(a):
@@ -369,10 +355,6 @@ def mult_closed_form(f: Polynomial, a) -> int:
         return _sign_changes(f if a == 1 else monomial_substitute(f, -1))
     if isinstance(B, (RationalFieldIdyll, FiniteFieldIdyll)):
         return _field_division_count(f, a)
-    if isinstance(B, OagIdyll):
-        # a value group is the tropical extension with trivial units
-        P, _ = initial_form_split(f, a)
-        return mult_closed_form(P, P.idyll.one)
     if isinstance(B, ExtensionDescriptor):
         if not B.is_split:
             raise UnsupportedOperationError(
@@ -536,13 +518,6 @@ def root_candidates(f: Polynomial) -> list:
     B = f.idyll
     if f.is_zero:
         raise StructuralError("every element is a root of the zero polynomial")
-    if isinstance(B, OagIdyll):
-        f = _as_extension_poly(f)
-        levels = _extension_candidate_levels(f)
-        out = [g for g in levels]
-        if 0 not in f.support:
-            out.append(INFINITY)
-        return out
     if isinstance(B, ExtensionDescriptor):
         if B.base.elements is None:
             raise UnsupportedOperationError(

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Idyll, OagIdyll, StructuralError, krasner
+from .algebra import StructuralError
 from .extension import ExtElement, ExtensionDescriptor, trop_extension
 from .oag import (
     OagValue,
@@ -84,18 +84,12 @@ class NewtonPolygon:
         }
 
 
-def _as_extension_poly(f: Polynomial) -> Polynomial:
-    """View a polynomial with pure-valuation coefficients as tropical."""
-    B = f.idyll
-    if isinstance(B, ExtensionDescriptor):
-        return f
-    if isinstance(B, OagIdyll):
-        E = trop_extension(krasner(), B.rank)
-        return Polynomial(
-            E,
-            [ExtElement() if B.is_zero(c) else ExtElement(1, c) for c in f.coeffs],
-        )
-    raise StructuralError(f"{B.name} carries no valuation levels")
+def _levelled(f: Polynomial) -> ExtensionDescriptor:
+    """The extension f lives over; other idylls carry no levels."""
+    E = f.idyll
+    if not isinstance(E, ExtensionDescriptor):
+        raise StructuralError(f"{E.name} carries no valuation levels")
+    return E
 
 
 def _cross(o, a, b) -> OagValue:
@@ -126,8 +120,7 @@ def lower_hull(points: list) -> list:
 
 def newton_polygon(f: Polynomial) -> NewtonPolygon:
     """Lower hull of the rank-1 support points of f. Exact arithmetic."""
-    f = _as_extension_poly(f)
-    E = f.idyll
+    E = _levelled(f)
     if E.rank != 1:
         raise StructuralError("newton polygon needs a rank-1 value group")
     if f.is_zero:
@@ -182,8 +175,7 @@ def initial_form_split(f: Polynomial, gamma) -> tuple:
     original degree; no unit twist is applied, so roots of level gamma
     correspond to base roots at their own unit.
     """
-    f = _as_extension_poly(f)
-    E = f.idyll
+    E = _levelled(f)
     if f.is_zero:
         raise StructuralError("the zero polynomial has no initial form")
     gamma = _level_of(E, gamma)
@@ -197,6 +189,7 @@ def initial_form_split(f: Polynomial, gamma) -> tuple:
 
 def initial_form_at(f: Polynomial, a: ExtElement) -> tuple:
     """Initial form at the level of a nonzero element a."""
+    _levelled(f)
     if a.is_zero:
         raise StructuralError("initial forms need a nonzero point")
     return initial_form_split(f, a.level)
@@ -210,8 +203,7 @@ def initial_form_rounds(f: Polynomial, gamma) -> list:
     remaining levels. The last round lands in the base idyll. The surviving
     index set equals the one-step lexicographic argmin.
     """
-    f = _as_extension_poly(f)
-    E = f.idyll
+    E = _levelled(f)
     if not E.is_split:
         raise StructuralError("projection rounds need a split extension")
     if f.is_zero:

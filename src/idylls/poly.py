@@ -22,7 +22,6 @@ from .algebra import (
     f1pm,
     finite_field,
     krasner,
-    oag_idyll,
     padic_valuation,
     phase_idyll,
     quotient_hyperfield,
@@ -162,7 +161,11 @@ def factor_check(f: Polynomial, a, g: Polynomial) -> bool:
 
 
 def parse_idyll_name(name: str) -> Idyll:
-    """Resolve a catalog name like sign, trop:rank-2, or quot:GF(5)/{1,4}."""
+    """Resolve a catalog name like sign, trop:rank-2, or quot:GF(5)/{1,4}.
+
+    oag and oag:rank-n (a value group read as an idyll) are spellings of
+    trop and trop:rank-n, the extension of the Krasner hyperfield by Q^n.
+    """
     t = name.strip()
     simple = {
         "krasner": krasner,
@@ -173,16 +176,14 @@ def parse_idyll_name(name: str) -> Idyll:
     }
     if t in simple:
         return simple[t]()
-    if t == "trop":
+    if t in ("trop", "oag"):
         return tropical(1)
     if t == "trop-real":
         return signed_tropical(1)
-    if t == "oag":
-        return oag_idyll(1)
     for prefix, factory in (
         ("trop:rank-", tropical),
         ("trop-real:rank-", signed_tropical),
-        ("oag:rank-", oag_idyll),
+        ("oag:rank-", tropical),
     ):
         if t.startswith(prefix):
             return factory(_parse_rank(t[len(prefix):]))
@@ -356,7 +357,14 @@ def trop_of_rational(F: Polynomial, p: int) -> Polynomial:
 
 
 def trop_real_of_rational(F: Polynomial, p: int) -> Polynomial:
-    """Keep the sign, valuate the magnitude: the signed tropical shadow."""
+    """Keep the sign, valuate the magnitude: the signed tropical shadow.
+
+    Not a morphism of idylls, unlike `sign_of_poly` and `trop_of_rational`:
+    the sign and a p-adic valuation do not combine into one, so a root's
+    multiplicity can drop. (x+4)^2 = 16 + 8x + x^2 has -4 with multiplicity
+    2 over Q, while its 2-adic image 1^4 + 1^3*x + 1^0*x^2 has multiplicity
+    0 at -1^2.
+    """
     coeffs = [
         ExtElement()
         if c == 0

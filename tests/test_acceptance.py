@@ -13,7 +13,6 @@ from idylls.algebra import (
     f1pm,
     finite_field,
     krasner,
-    oag_idyll,
     phase_idyll,
     quotient_hyperfield,
     rational_field,
@@ -343,7 +342,7 @@ def test_axiom_harness_catalog():
         K, S, P, f1pm(), Q,
         finite_field(5), finite_field(7),
         quotient_hyperfield(5, (1, 4)), quotient_hyperfield(7, (1, 2, 4)),
-        oag_idyll(1), oag_idyll(2),
+        tropical(1), tropical(2),
     ]
     for B in catalog:
         assert check_idyll_axioms(B, max_len=4) == [], B.name

@@ -16,7 +16,6 @@ from idylls.algebra import (
     f1pm,
     finite_field,
     krasner,
-    oag_idyll,
     phase_idyll,
     quotient_hyperfield,
     rational_field,
@@ -24,6 +23,7 @@ from idylls.algebra import (
     sign_of_rational,
     padic_valuation,
 )
+from idylls.extension import EXT_ZERO, tropical
 from idylls.oag import INFINITY, oag
 
 K = krasner()
@@ -133,41 +133,46 @@ def test_quotient_rejects_non_subgroup():
         quotient_hyperfield(5, (1, 2))  # 2*2=4 not in the set
 
 
-# -- value-group idylls (min-plus) -------------------------------------------
+# -- value groups (min-plus): the tropical numbers of rank n -----------------
+
+
+def val(G, *coords):
+    """The tropical element of level coords over G (its unit is 1)."""
+    return G.elem(1, coords)
 
 
 def test_oag_null_iff_min_twice():
-    G = oag_idyll(1)
-    assert G.is_null([oag(1), oag(1), oag(5)])
-    assert not G.is_null([oag(1), oag(2), oag(2)])
-    assert G.is_null([INFINITY])  # the zero element alone is a null sum
-    assert not G.is_null([oag(0)])
+    G = tropical(1)
+    assert G.is_null([val(G, 1), val(G, 1), val(G, 5)])
+    assert not G.is_null([val(G, 1), val(G, 2), val(G, 2)])
+    assert G.is_null([EXT_ZERO])  # the zero element alone is a null sum
+    assert not G.is_null([val(G, 0)])
 
 
 def test_oag_rank2_null_uses_lex_min():
-    G = oag_idyll(2)
-    assert G.is_null([oag(1, 2), oag(1, 2), oag(1, 3)])
-    assert G.is_null([oag(1, 3), oag(1, 3)])
+    G = tropical(2)
+    assert G.is_null([val(G, 1, 2), val(G, 1, 2), val(G, 1, 3)])
+    assert G.is_null([val(G, 1, 3), val(G, 1, 3)])
     # lex-min (0,5) appears once, even though (1,0) repeats
-    assert not G.is_null([oag(0, 5), oag(1, 0), oag(1, 0)])
+    assert not G.is_null([val(G, 0, 5), val(G, 1, 0), val(G, 1, 0)])
 
 
 def test_oag_sum_set_has_a_tail_on_ties():
-    G = oag_idyll(1)
-    s = G.sum_set(oag(2), oag(2))
-    assert oag(2) in s.core
-    assert s.tail_above == oag(2)
-    assert oag(3) in s  # tail membership
-    assert oag(1) not in s
-    t = G.sum_set(oag(1), oag(4))
-    assert set(t.core) == {oag(1)} and t.tail_above is None
+    G = tropical(1)
+    s = G.sum_set(val(G, 2), val(G, 2))
+    assert val(G, 2) in s.core
+    assert s.tail_above == val(G, 2).level
+    assert val(G, 3) in s  # tail membership
+    assert val(G, 1) not in s
+    t = G.sum_set(val(G, 1), val(G, 4))
+    assert set(t.core) == {val(G, 1)} and t.tail_above is None
 
 
 def test_oag_multiplication_is_addition():
-    G = oag_idyll(2)
-    assert G.mul(oag(1, 2), oag(3, 4)) == oag(4, 6)
-    assert G.inv(oag(1, -2)) == oag(-1, 2)
-    assert G.mul(oag(5, 1), INFINITY) == INFINITY
+    G = tropical(2)
+    assert G.mul(val(G, 1, 2), val(G, 3, 4)) == val(G, 4, 6)
+    assert G.inv(val(G, 1, -2)) == val(G, -1, 2)
+    assert G.mul(val(G, 5, 1), EXT_ZERO) == EXT_ZERO
 
 
 # -- phases: exact convex-position oracle over Q(adjoin sqrt 3) ---------------
@@ -343,10 +348,10 @@ def test_finite_carrier_membership_and_order(B):
 
 
 def test_sum_set_iteration_hits_core_only():
-    G = oag_idyll(1)
-    s = G.sum_set(oag(0), oag(0))
+    G = tropical(1)
+    s = G.sum_set(val(G, 0), val(G, 0))
     assert set(iter(s)) == set(s.core)
-    assert oag(99) in s  # but the tail still answers membership
+    assert val(G, 99) in s  # but the tail still answers membership
 
 
 @pytest.mark.parametrize(
@@ -366,7 +371,7 @@ def test_memoised_sum_sets_match_a_fresh_scan(B):
 # -- axiom harness -------------------------------------------------------------
 
 
-CATALOG = [K, S, F, P, Q, F5, quotient_hyperfield(5, (1, 4)), oag_idyll(1), oag_idyll(2)]
+CATALOG = [K, S, F, P, Q, F5, quotient_hyperfield(5, (1, 4)), tropical(1), tropical(2)]
 
 
 @pytest.mark.parametrize("B", CATALOG, ids=lambda b: b.name)

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,6 @@ from idylls import cli, oracle
 from idylls.algebra import ParseError, krasner, rational_field, sign_idyll
 from idylls.extension import signed_tropical, tropical
 from idylls.cli import DEMO_NAMES, build_parser, main, run_demo
-from idylls.oag import OagValue
 from idylls.poly import (
     Polynomial,
     parse_idyll_name,
@@ -43,8 +43,8 @@ def test_catalog_names_resolve():
         ("field:Q", "field:Q"),
         ("field:GF(7)", "field:GF(7)"),
         ("quot:GF(5)/{1,4}", "quot:GF(5)/{1,4}"),
-        ("oag", "oag:rank-1"),
-        ("oag:rank-2", "oag:rank-2"),
+        ("oag", "trop"),
+        ("oag:rank-2", "trop:rank-2"),
         ("trop", "trop"),
         ("trop:rank-3", "trop:rank-3"),
         ("trop-real", "trop-real"),
@@ -52,6 +52,51 @@ def test_catalog_names_resolve():
         ("ext:field:GF(5):1", "ext:field:GF(5):1"),
     ]:
         assert parse_idyll_name(name).name == expected
+
+
+RANK_ONE = "2 + 1*x + 0*x^2 + 0*x^3"
+RANK_TWO = "(2,0) + (1,1)*x + (0,0)*x^2 + (0,1)*x^3"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roots", "--poly", RANK_ONE],
+        ["mult", "--poly", RANK_ONE, "--at", "1", "--engine", "both", "--certificate"],
+        ["divide", "--poly", RANK_ONE, "--at", "1"],
+        ["divide", "--poly", RANK_ONE, "--at", "1", "--tails", "grid"],
+        ["initial-form", "--poly", RANK_ONE, "--at", "1"],
+        ["lift", "--poly", RANK_ONE, "--at", "1", "--witness", "1 + x"],
+        ["roots", "--poly", RANK_TWO, "--rank", "2"],
+        ["mult", "--poly", RANK_TWO, "--rank", "2", "--at", "(1,0)", "--engine", "both"],
+        ["divide", "--poly", RANK_TWO, "--rank", "2", "--at", "(1,0)"],
+        ["divide", "--poly", RANK_TWO, "--rank", "2", "--at", "(1,0)", "--tails", "grid"],
+        ["initial-form", "--poly", RANK_TWO, "--rank", "2", "--at", "(1,0)"],
+        ["lift", "--poly", RANK_TWO, "--rank", "2", "--at", "(1,0)", "--witness", "1 + x"],
+    ],
+    ids=[
+        f"{command}-rank{rank}"
+        for rank in (1, 2)
+        for command in ("roots", "mult", "divide", "divide-grid", "initial-form", "lift")
+    ],
+)
+def test_oag_is_a_spelling_of_trop(argv, capsys):
+    outputs = []
+    for name in ("oag", "trop"):
+        rc = main([argv[0], "--idyll", name, "--json"] + argv[1:])
+        outputs.append((rc, capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
+
+
+def test_oag_grid_division_finds_the_tail_quotient(capsys):
+    rc = main(
+        ["divide", "--idyll", "oag", "--poly", "0 + 0*x + 1*x^2", "--at", "-1",
+         "--tails", "grid"]
+    )
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.splitlines()[1:] == ["  1 + 1*x"]
 
 
 def test_unknown_idyll_name():
@@ -112,8 +157,6 @@ def test_grammar_round_trip_fuzz():
             return Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
         if B.name == "phase":
             return Fraction(rng.randrange(16), 16)
-        if B.name.startswith("oag:"):
-            return OagValue(level(B.rank))
         return B.elem(rng.choice(units(B.base)), level(B.rank))
 
     for name in (
@@ -386,6 +429,42 @@ def test_prime_over_rationals_exit_2(capsys):
         ["roots", "--idyll", "field:Q", "--prime", "2", "--poly", "72 - 6x - 7x^2 + x^3"]
     )
     capsys.readouterr()
+    assert rc == 2
+
+
+def test_sign_target_checks_the_prime_exit_2(capsys):
+    rc = main(
+        ["roots", "--idyll", "sign", "--prime", "4", "--poly", "72 - 6x - 7x^2 + x^3"]
+    )
+    assert "4 is not a prime" in capsys.readouterr().err
+    assert rc == 2
+
+
+def test_large_prime_is_certified_quickly(capsys):
+    start = time.perf_counter()
+    rc = main(
+        ["roots", "--idyll", "trop", "--prime", "1000000000000000003",
+         "--poly", "72 - 6x - 7x^2 + x^3"]
+    )
+    # trial division up to the square root takes minutes
+    assert time.perf_counter() - start < 10
+    assert capsys.readouterr().out.splitlines()[1:] == ["  0  mult 3"]
+    assert rc == 0
+
+
+@pytest.mark.parametrize("p", ["561", "1000000000000000001"])
+def test_carmichael_and_large_composite_exit_2(p, capsys):
+    # 561 is a Carmichael number; 10^18 + 1 = 101 * 9901 * 999999000001
+    rc = main(["roots", "--idyll", "trop", "--prime", p, "--poly", "72 - 6x - 7x^2 + x^3"])
+    assert f"{p} is not a prime" in capsys.readouterr().err
+    assert rc == 2
+
+
+@pytest.mark.parametrize("command", ["newton", "initial-form"])
+def test_levels_needed_exit_2(command, capsys):
+    argv = [command, "--idyll", "sign", "--poly", "1 - x"]
+    rc = main(argv + (["--at", "1"] if command == "initial-form" else []))
+    assert "sign carries no valuation levels" in capsys.readouterr().err
     assert rc == 2
 
 

@@ -12,9 +12,10 @@ from idylls.algebra import (
     UnsupportedOperationError,
     finite_field,
     krasner,
-    oag_idyll,
+    padic_valuation,
     rational_field,
     sign_idyll,
+    sign_of_rational,
 )
 from idylls.extension import EXT_ZERO, signed_tropical, tropical, trop_extension
 from idylls.mult import (
@@ -29,7 +30,7 @@ from idylls.mult import (
     root_candidates,
 )
 from idylls.newton import initial_form_at
-from idylls.oag import INFINITY, oag
+from idylls.oag import oag
 from idylls.oracle import exhaustive_multiplicity
 from idylls.poly import Polynomial, factor_check
 
@@ -186,11 +187,11 @@ def test_closed_form_finite_field():
 
 
 def test_closed_form_value_group_width():
-    G = oag_idyll(1)
-    f = Polynomial(G, [oag(2), oag(1), oag(0), oag(0)])
-    assert mult_closed_form(f, oag(1)) == 2
-    assert mult_closed_form(f, oag(0)) == 1
-    assert multiplicity(f, oag(1))[0] == 2
+    G = tropical(1)
+    f = Polynomial(G, [G.elem(1, 2), G.elem(1, 1), G.elem(1, 0), G.elem(1, 0)])
+    assert mult_closed_form(f, G.elem(1, 1)) == 2
+    assert mult_closed_form(f, G.elem(1, 0)) == 1
+    assert multiplicity(f, G.elem(1, 1))[0] == 2
 
 
 def test_closed_form_matches_search_over_value_groups():
@@ -198,14 +199,14 @@ def test_closed_form_matches_search_over_value_groups():
     rng = random.Random(12)
     queries = 0
     for rank in (1, 2):
-        G = oag_idyll(rank)
+        G = tropical(rank)
 
         def level():
-            return oag(*(rng.randint(-2, 2) for _ in range(rank)))
+            return G.elem(1, tuple(rng.randint(-2, 2) for _ in range(rank)))
 
         for _ in range(150):
             n = rng.randint(1, 5)
-            coeffs = [INFINITY if rng.random() < 0.25 else level() for _ in range(n)]
+            coeffs = [G.zero if rng.random() < 0.25 else level() for _ in range(n)]
             f = Polynomial(G, coeffs + [level()])
             for a in root_candidates(f):
                 assert mult_closed_form(f, a) == multiplicity(f, a)[0], (str(f), a)
@@ -235,6 +236,80 @@ def test_search_matches_exhaustive_on_all_small_sign_polys():
             assert multiplicity(f, a)[0] == exhaustive_multiplicity(f, a, memo)
             assert mult_closed_form(f, a) == multiplicity(f, a)[0]
 
+
+# -- morphisms ---------------------------------------------------------------------
+
+
+def _image(f, phi, target):
+    return Polynomial(target, [phi(c) for c in f.coeffs])
+
+
+def _times_linear(f, r):
+    """(x - r) * f over the rationals."""
+    shifted = (Fraction(0),) + f.coeffs
+    scaled = f.coeffs + (Fraction(0),)
+    return Polynomial(Q, [s - r * c for s, c in zip(shifted, scaled)])
+
+
+def _assert_mult_never_drops(f, a, maps):
+    """mult_a(f) <= mult_phi(a)(phi f) along a composable list of (phi, target)."""
+    m, chain = multiplicity(f, a)
+    assert chain.verify()
+    for phi, target in maps:
+        f, a = _image(f, phi, target), phi(a)
+        image_m = multiplicity(f, a)[0]
+        assert m <= image_m, (str(f), a)
+        m = image_m
+
+
+def test_morphisms_never_lower_multiplicity_over_extensions():
+    # trop-real:rank-2 -> trop-real (first coordinate) -> trop (forget the sign)
+    TR2 = signed_tropical(2)
+
+    def first_coordinate(x):
+        return x if x.is_zero else TR.elem(x.unit, x.level.coords[0])
+
+    def forget_sign(x):
+        return x if x.is_zero else T.elem(1, x.level)
+
+    maps = [(first_coordinate, TR), (forget_sign, T)]
+    rng = random.Random(23)
+    pairs = 0
+    for _ in range(120):
+        coeffs = [
+            TR2.zero
+            if rng.random() < 0.2
+            else TR2.elem(rng.choice((1, -1)), (rng.randint(-2, 2), rng.randint(-2, 2)))
+            for _ in range(rng.randint(1, 4))
+        ]
+        f = Polynomial(TR2, coeffs + [TR2.elem(1, (0, 0))])
+        for a in root_candidates(f):
+            _assert_mult_never_drops(f, a, maps)
+            pairs += 1
+    assert pairs > 300
+
+
+def test_morphisms_never_lower_multiplicity_from_the_rationals():
+    # Q -> sign and Q -> trop_p, on products of known linear factors
+    roots = [Fraction(r) for r in ("0", "1", "-1", "2", "-2", "1/2", "-3/2", "3", "4", "-6", "1/3")]
+
+    def padic(p):
+        return lambda q: EXT_ZERO if q == 0 else T.elem(1, padic_valuation(q, p))
+
+    targets = [[(sign_of_rational, S)], [(padic(2), T)], [(padic(3), T)]]
+    rng = random.Random(29)
+    pairs = 0
+    for _ in range(60):
+        factors = [rng.choice(roots) for _ in range(rng.randint(1, 4))]
+        f = Polynomial(Q, [1])
+        for r in factors:
+            f = _times_linear(f, r)
+        for a in set(factors):
+            assert multiplicity(f, a)[0] == factors.count(a)
+            for maps in targets:
+                _assert_mult_never_drops(f, a, maps)
+                pairs += 1
+    assert pairs > 200
 
 # -- budget ------------------------------------------------------------------------
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from idylls.algebra import StructuralError, krasner, oag_idyll, sign_idyll
+from idylls.algebra import StructuralError, krasner, sign_idyll
 from idylls.extension import ExtElement, signed_tropical, trop_extension, tropical
 from idylls.mult import root_candidates
 from idylls.newton import (
@@ -169,14 +169,6 @@ def test_hull_candidate_levels_match_the_pairwise_definition():
                 if 0 not in f.support:
                     expected.append(E.zero)
                 assert root_candidates(f) == expected, f
-
-
-def test_value_group_polynomials_get_unit_one():
-    G = oag_idyll(1)
-    f = Polynomial(G, [oag(2), oag(1), oag(0), oag(0)])
-    p = newton_polygon(f)
-    assert [e.slope for e in p.edges] == [Fraction(-1), Fraction(0)]
-    assert [e.width for e in p.edges] == [2, 1]
 
 
 def test_rank2_rounds_resolve_one_coordinate_at_a_time():
