@@ -23,7 +23,7 @@ def show(label, s):
     core = sorted(TR.format_element(x) for x in s.core)
     line = f"  {label}: {{{', '.join(core)}}}"
     if s.tail_above is not None:
-        line += f" plus every element of level > {s.tail_above.coords[0]}"
+        line += f" plus every element of level > {s.tail_above[0]}"
     print(line)
 
 

@@ -40,7 +40,7 @@ def main() -> int:
         m, _ = multiplicity(f, a)
         print(
             f"at valuation {gamma}: initial form {inner} "
-            f"(level {level.coords[0]}), multiplicity {m}"
+            f"(level {level[0]}), multiplicity {m}"
         )
         m_base, _ = multiplicity(inner, a.unit)
         assert m == m_base  # the initial form already knows the count

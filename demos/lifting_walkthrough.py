@@ -38,7 +38,7 @@ def main() -> int:
     step = 0
     while True:
         inner, level = initial_form_at(cur, a)
-        print(f"\nstep {step}: initial form {inner} at level {level.coords[0]}")
+        print(f"\nstep {step}: initial form {inner} at level {level[0]}")
         quotients = divide_once(inner, a.unit)
         if not quotients:
             print("  no base witness left, chain ends")

@@ -30,7 +30,7 @@ def root_valuations(f):
         if a.is_zero:
             continue
         m, _ = multiplicity(f, a)
-        out.extend([a.level.coords[0]] * m)
+        out.extend([a.level[0]] * m)
     return sorted(out)
 
 

@@ -30,17 +30,13 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Optional
+from functools import cached_property, lru_cache
+from typing import Iterable, Optional, Sequence
 
-from .oag import INFINITY, OagValue, ParseError, format_rational, oag_cmp
+from .oag import ParseError, StructuralError, format_rational
 
 # Any value interpretable by some descriptor; see the module docstring.
 MonoidElement = object
-
-
-class StructuralError(ValueError):
-    """An operation mixed elements or descriptors that do not belong together."""
 
 
 class ForeignElementError(StructuralError):
@@ -91,14 +87,14 @@ class SumSet:
     """The set {c : a + b - c is null}, possibly with an infinite upper tail.
 
     ``core`` is the finite part. Over a tropical extension the set can also
-    contain every element of level strictly above ``tail_above`` (the zero
-    element lies above every level); base idylls always have
-    ``tail_above=None``. Iteration yields only the core; membership honors
-    the tail.
+    contain every element whose level (a tuple of rationals) lies strictly
+    above ``tail_above``, and the zero element, whose level is None; base
+    idylls always have ``tail_above=None``. Iteration yields only the core;
+    membership honors the tail.
     """
 
     core: frozenset
-    tail_above: Optional[OagValue] = None
+    tail_above: Optional[tuple] = None
 
     def __contains__(self, x) -> bool:
         if x in self.core:
@@ -106,7 +102,7 @@ class SumSet:
         if self.tail_above is None:
             return False
         # a tail only arises over an extension, whose elements carry a level
-        return x.level is None or oag_cmp(x.level, self.tail_above) > 0
+        return x.level is None or x.level > self.tail_above
 
     def __iter__(self):
         return iter(self.core)
@@ -175,16 +171,16 @@ class FormalSum:
 class Idyll:
     """Base descriptor. Subclasses fill in the attributes in ``__init__``.
 
-    Required attributes: name, kind, zero, one, epsilon, elements (tuple or
-    None for infinite carriers), is_whole. Optional: valuation_literals
-    (polynomial-grammar hint, default False: when True, literals are
-    valuations and a leading '-' binds into the literal instead of
-    multiplying the coefficient by epsilon).
+    Required attributes: name, kind, zero, one, epsilon, elements (a tuple,
+    the lazy range of GF(p), or None for infinite carriers), is_whole.
+    Optional: valuation_literals (polynomial-grammar hint, default False:
+    when True, literals are valuations and a leading '-' binds into the
+    literal instead of multiplying the coefficient by epsilon).
     """
 
     name: str
     kind: str
-    elements: Optional[tuple]
+    elements: Optional[Sequence]
     is_whole: bool
     valuation_literals: bool = False
 
@@ -281,7 +277,7 @@ class FiniteIdyll(Idyll):
     inverse, as in {0, 1} and {0, 1, -1}; other carriers override both.
     """
 
-    def __init__(self, name: str, kind: str, elements: tuple, epsilon, is_whole: bool):
+    def __init__(self, name: str, kind: str, elements: Sequence, epsilon, is_whole: bool):
         self.name = name
         self.kind = kind
         self.elements = elements
@@ -289,10 +285,13 @@ class FiniteIdyll(Idyll):
         self.one = elements[1]
         self.epsilon = epsilon
         self.is_whole = is_whole
-        # sort rank of each element, zero last
-        self._order = {x: i for i, x in enumerate(elements[1:] + elements[:1])}
         # sum sets, each scanned on first use: at most len(elements)**2 entries
         self._sum_sets = {}
+
+    @cached_property
+    def _order(self) -> dict:
+        """Sort rank of each element, zero last."""
+        return {x: i for i, x in enumerate(self.elements[1:] + self.elements[:1])}
 
     def contains(self, x):
         return type(x) is type(self.zero) and x in self._order
@@ -508,15 +507,26 @@ class RationalFieldIdyll(Idyll):
 
 
 class FiniteFieldIdyll(FiniteIdyll):
-    """GF(p) for a prime p, residues 0..p-1; null iff the sum is 0 mod p."""
+    """GF(p) for a prime p, residues 0..p-1; null iff the sum is 0 mod p.
+
+    The carrier stays the lazy ``range(p)``, and membership and order are
+    arithmetic, so building GF(p) costs the same for every p.
+    """
 
     def __init__(self, p: int):
         require_prime(p)
         self.p = p
-        super().__init__(f"field:GF({p})", "field-gf", tuple(range(p)), p - 1, True)
+        super().__init__(f"field:GF({p})", "field-gf", range(p), p - 1, True)
 
     def _key(self):
         return (self.kind, self.p)
+
+    def contains(self, x):
+        return type(x) is int and 0 <= x < self.p
+
+    def sort_key(self, x):
+        # 1, 2, ..., p - 1, then zero last
+        return (x - 1) % self.p
 
     def mul(self, a, b):
         return (a * b) % self.p
@@ -698,12 +708,12 @@ def sign_of_rational(q) -> int:
     return 1 if q > 0 else -1
 
 
-def padic_valuation(q, p: int) -> OagValue:
-    """Exact p-adic valuation of a rational as a rank-1 value; v(0) = inf."""
+def padic_valuation(q, p: int) -> Optional[tuple]:
+    """Exact p-adic valuation of a rational as a rank-1 value; None at 0."""
     require_prime(p)
     q = Fraction(q)
     if q == 0:
-        return INFINITY
+        return None
     v = 0
     n = q.numerator
     while n % p == 0:
@@ -713,7 +723,7 @@ def padic_valuation(q, p: int) -> OagValue:
     while d % p == 0:
         d //= p
         v -= 1
-    return OagValue((Fraction(v),))
+    return (Fraction(v),)
 
 
 # ---------------------------------------------------------------------------

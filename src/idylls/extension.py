@@ -1,7 +1,8 @@
 """Tropical extensions: units from a base idyll graded by a value group.
 
 An extension element is a pair (unit, level): a nonzero base element tagged
-with a finite value-group level, or the dedicated zero. A formal sum over the
+with a value-group level (a tuple of rationals, see `idylls.oag`), or the
+dedicated zero, whose level is None. A formal sum over the
 extension is null exactly when the sub-sum of its minimal-level terms is null
 in the base, so every additive verdict is decided at the bottom layer and
 higher-level terms are inert junk.
@@ -33,11 +34,9 @@ from .algebra import (
     sign_idyll,
 )
 from .oag import (
-    INFINITY,
-    OagValue,
+    as_level,
     format_oag_value,
     oag_add,
-    oag_cmp,
     oag_neg,
     oag_zero,
     parse_oag_value,
@@ -49,7 +48,7 @@ class ExtElement:
     """(unit, level) with a nonzero base unit, or the zero (None, None)."""
 
     unit: object = None
-    level: Optional[OagValue] = None
+    level: Optional[tuple] = None
 
     @property
     def is_zero(self) -> bool:
@@ -115,7 +114,7 @@ class ExtensionDescriptor(Idyll):
     def is_split(self) -> bool:
         return self.cocycle is None
 
-    def _sigma(self, g1: OagValue, g2: OagValue):
+    def _sigma(self, g1: tuple, g2: tuple):
         if self.cocycle is None:
             return self.base.one
         return self.cocycle(g1, g2)
@@ -123,16 +122,10 @@ class ExtensionDescriptor(Idyll):
     # -- element plumbing ---------------------------------------------------
 
     def elem(self, unit, level=0) -> ExtElement:
-        """Build an element from a base unit and a flexible level argument."""
+        """Build an element from a base unit and a bare rational or tuple level."""
         if self.base.is_zero(unit):
             return EXT_ZERO
-        if not isinstance(level, OagValue):
-            if isinstance(level, tuple):
-                level = OagValue(tuple(Fraction(c) for c in level))
-            else:
-                level = OagValue((Fraction(level),))
-        if level.is_infinite or level.rank != self.rank:
-            raise StructuralError(f"level {format_oag_value(level)} has wrong rank")
+        level = as_level(level, self.rank)
         if not self.base.contains(unit):
             raise ForeignElementError(f"{unit!r} is not a unit of {self.base.name}")
         return ExtElement(unit, level)
@@ -143,8 +136,7 @@ class ExtensionDescriptor(Idyll):
         if x.is_zero:
             return True
         return (
-            not x.level.is_infinite
-            and x.level.rank == self.rank
+            len(x.level) == self.rank
             and self.base.contains(x.unit)
             and not self.base.is_zero(x.unit)
         )
@@ -166,14 +158,9 @@ class ExtensionDescriptor(Idyll):
         w = self.base.inv(self.base.mul(a.unit, self._sigma(a.level, neg)))
         return ExtElement(w, neg)
 
-    def valuation(self, a: ExtElement) -> OagValue:
-        return INFINITY if a.is_zero else a.level
-
-    def lc(self, a: ExtElement):
-        """Leading coefficient with its torsor level tag: (unit, level)."""
-        if a.is_zero:
-            return (self.base.zero, INFINITY)
-        return (a.unit, a.level)
+    def valuation(self, a: ExtElement) -> Optional[tuple]:
+        """The level of a; None for zero, which has no level."""
+        return a.level
 
     def ev0(self, a: ExtElement):
         """Evaluate the grading parameter at zero: unit at level 0, else 0.
@@ -182,7 +169,7 @@ class ExtensionDescriptor(Idyll):
         """
         if a.is_zero:
             return self.base.zero
-        if oag_cmp(a.level, self._zero_level) < 0:
+        if a.level < self._zero_level:
             raise StructuralError("ev0 needs a nonnegative level")
         if a.level == self._zero_level:
             return a.unit
@@ -191,7 +178,7 @@ class ExtensionDescriptor(Idyll):
     def sort_key(self, x):
         if x.is_zero:
             return (1,)
-        return (0, x.level.coords, self.base.sort_key(x.unit))
+        return (0, x.level, self.base.sort_key(x.unit))
 
     def format_element(self, x):
         if x.is_zero:
@@ -233,21 +220,17 @@ class ExtensionDescriptor(Idyll):
     def null_terms(self, terms):
         if not terms:
             return True
-        min_level = terms[0].level
-        for t in terms[1:]:
-            if oag_cmp(t.level, min_level) < 0:
-                min_level = t.level
-        units = [t.unit for t in terms if oag_cmp(t.level, min_level) == 0]
+        min_level = min(t.level for t in terms)
+        units = [t.unit for t in terms if t.level == min_level]
         return self.base.null_terms(units)
 
     def sum_set(self, a: ExtElement, b: ExtElement) -> SumSet:
         if a.is_zero and b.is_zero:
             return SumSet(frozenset({EXT_ZERO}))
-        c = -1 if b.is_zero else 1 if a.is_zero else oag_cmp(a.level, b.level)
-        if c != 0:
+        if a.is_zero or b.is_zero or a.level != b.level:
             # the lower term decides alone; the element equal to it is reused,
             # so quotients share coefficient objects with the divided polynomial
-            low = a if c < 0 else b
+            low = b if a.is_zero or (not b.is_zero and b.level < a.level) else a
             ws = self._base_sum_set(low.unit, self.base.zero)
             return SumSet(
                 frozenset(
@@ -291,10 +274,9 @@ class ExtensionDescriptor(Idyll):
             return SumSet(frozenset({z}))
         if z.is_zero:
             return SumSet(frozenset({y}))
-        c = oag_cmp(y.level, z.level)
-        if c < 0:
+        if y.level < z.level:
             return SumSet(frozenset({y}))
-        if c > 0:
+        if y.level > z.level:
             return SumSet(frozenset({z}))
         level = y.level
         ws = self._base_sum_set(y.unit, z.unit)
@@ -317,9 +299,7 @@ class ExtensionDescriptor(Idyll):
                 if not self.base.is_zero(u)
             ][:4]
         span = [Fraction(k) for k in (-1, 0, 1, 2)]
-        levels = [
-            OagValue(coords) for coords in itertools.product(span, repeat=self.rank)
-        ]
+        levels = list(itertools.product(span, repeat=self.rank))
         if len(levels) > 16:
             levels = levels[:16]
         pool = [EXT_ZERO]
@@ -358,17 +338,6 @@ def signed_tropical(rank: int = 1) -> ExtensionDescriptor:
 
 
 # ---------------------------------------------------------------------------
-# validating free function
-
-
-def ext_mul(E: ExtensionDescriptor, a: ExtElement, b: ExtElement) -> ExtElement:
-    for x in (a, b):
-        if not E.contains(x):
-            raise ForeignElementError(f"{x!r} is not an element of {E.name}")
-    return E.mul(a, b)
-
-
-# ---------------------------------------------------------------------------
 # axiom harness
 
 
@@ -391,7 +360,7 @@ def check_extension_axioms(
         base_units = [u for u in base.elements if not base.is_zero(u)]
     else:
         base_units = [u for u in base.sample_elements(rng) if not base.is_zero(u)][:6]
-    levels = sorted({x.level for x in nonzero}, key=lambda g: g.coords)
+    levels = sorted({x.level for x in nonzero})
 
     # (i) exactness and group structure
     for u in base_units:
@@ -439,8 +408,8 @@ def check_extension_axioms(
         n = rng.randint(1, 4)
         s = [rng.choice(nonzero) for _ in range(n)]
         verdict = E.is_null(s)
-        min_level = min((x.level for x in s), key=lambda g: g.coords)
-        bump = OagValue(tuple(c + 1 for c in min_level.coords))
+        min_level = min(x.level for x in s)
+        bump = tuple(c + 1 for c in min_level)
         junk = ExtElement(rng.choice(base_units), bump)
         if E.is_null(s + [junk]) != verdict:
             violations.append("appending a higher-level term changed a verdict")

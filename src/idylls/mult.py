@@ -29,15 +29,7 @@ from .algebra import (
 )
 from .extension import EXT_ZERO, ExtElement, ExtensionDescriptor
 from .newton import initial_form_at, lower_hull
-from .oag import (
-    OagValue,
-    oag_add,
-    oag_cmp,
-    oag_div,
-    oag_scale,
-    oag_sub,
-    oag_zero,
-)
+from .oag import oag_add, oag_div, oag_scale, oag_sub, oag_zero
 from .poly import Polynomial, eval_sum, factor_check, monomial_substitute
 
 DEFAULT_SEARCH_CAP = 100_000
@@ -159,9 +151,9 @@ def divide_once(f: Polynomial, a, tails: str = "auto", cap: int = None) -> list:
         if not levels:
             return []
         shift = oag_scale(gamma, position + 1)
-        bound = oag_add(above, shift).coords
+        bound = oag_add(above, shift)
         out = []
-        for t in levels[bisect_right(levels, bound, key=_coords) :]:
+        for t in levels[bisect_right(levels, bound) :]:
             t = oag_sub(t, shift)
             out += [ExtElement(u, t) for u in units]
         return out
@@ -192,15 +184,11 @@ def divide_once(f: Polynomial, a, tails: str = "auto", cap: int = None) -> list:
     return sorted(polys, key=lambda g: tuple(B.sort_key(c) for c in g.coeffs))
 
 
-def _coords(g: OagValue) -> tuple:
-    return g.coords
-
-
 def _with_midpoints(levels: list) -> list:
     out = list(levels)
     for x, y in zip(levels, levels[1:]):
         out.append(oag_div(oag_add(x, y), 2))
-    return sorted(set(out), key=_coords)
+    return sorted(set(out))
 
 
 def _tail_pool(f: Polynomial, a, tails: str) -> tuple:
@@ -227,8 +215,7 @@ def _tail_pool(f: Polynomial, a, tails: str) -> tuple:
         return levels, oag_zero(B.rank), units
     gamma = a.level
     shifted = sorted(
-        {oag_add(f.coeffs[i].level, oag_scale(gamma, i)) for i in f.support},
-        key=_coords,
+        {oag_add(f.coeffs[i].level, oag_scale(gamma, i)) for i in f.support}
     )
     return _with_midpoints(shifted), gamma, units
 
@@ -245,18 +232,19 @@ def quotient_level_grid(f: Polynomial, a: ExtElement) -> list:
     shifted = [
         oag_add(f.coeffs[i].level, oag_scale(g1, i)) for i in f.support
     ]
-    diffs = {oag_zero(E.rank)}
+    zero = oag_zero(E.rank)
+    diffs = {zero}
     for w1 in shifted:
         for w2 in shifted:
             d = oag_sub(w2, w1)
-            if oag_cmp(d, oag_zero(E.rank)) >= 0:
+            if d >= zero:
                 diffs.add(d)
     grid = set()
     for w in shifted:
         for d in diffs:
             for j in range(max(f.degree, 1)):
                 grid.add(oag_sub(oag_add(w, d), oag_scale(g1, j + 1)))
-    return sorted(grid, key=lambda g: g.coords)
+    return sorted(grid)
 
 
 def multiplicity(f: Polynomial, a, cap: int = None) -> tuple:
@@ -507,13 +495,14 @@ def _extension_candidate_levels(f: Polynomial) -> list:
     return levels[::-1]
 
 
-def root_candidates(f: Polynomial) -> list:
+def root_candidates(f: Polynomial):
     """A finite superset of the roots of f, ready for multiplicity testing.
 
-    Finite idylls enumerate their carrier. Extensions take every level at
-    which the minimum of v(c_i) + i*level is attained twice, paired with
-    every base unit. The rational field uses the classical integer root
-    sieve on cleared denominators.
+    Finite idylls offer their carrier itself, uncopied (GF(p) a lazy range,
+    so a search budget can end a query over a huge field). Extensions take
+    every level at which the minimum of v(c_i) + i*level is attained twice,
+    paired with every base unit. The rational field uses the classical
+    integer root sieve on cleared denominators.
     """
     B = f.idyll
     if f.is_zero:
@@ -535,7 +524,7 @@ def root_candidates(f: Polynomial) -> list:
     if isinstance(B, RationalFieldIdyll):
         return _rational_candidates(f)
     if B.elements is not None:
-        return list(B.elements)
+        return B.elements
     raise UnsupportedOperationError(f"cannot enumerate candidates over {B.name}")
 
 

@@ -6,9 +6,11 @@ v(c_i) + i*g is minimal, and the units sitting at those indices form the
 initial form of f at level g: a polynomial over the base idyll that controls
 root multiplicity at every root of level g.
 
-For higher-rank value groups the hull picture is replaced by lexicographic
-argmin, computed either in one step or coordinate by coordinate
-(`initial_form_rounds`); both give the same index set.
+A level is a tuple of rationals, so Python's tuple order is already the
+lexicographic order that every rank needs. For higher-rank value groups the
+hull picture is replaced by lexicographic argmin, computed either in one
+step or coordinate by coordinate (`initial_form_rounds`); both give the same
+index set.
 """
 
 from __future__ import annotations
@@ -20,11 +22,9 @@ from fractions import Fraction
 from .algebra import StructuralError
 from .extension import ExtElement, ExtensionDescriptor, trop_extension
 from .oag import (
-    OagValue,
+    as_level,
     format_rational,
     oag_add,
-    oag_cmp,
-    oag_project_head,
     oag_scale,
     oag_sub,
     oag_zero,
@@ -50,19 +50,6 @@ class NewtonPolygon:
     points: tuple
     vertices: tuple
     edges: tuple
-
-    def edge_of_slope(self, slope) -> Edge:
-        """The edge with the given slope; a width-0 vertex edge if absent.
-
-        The degenerate case anchors at the unique hull point supporting a
-        line of that slope from below.
-        """
-        slope = Fraction(slope)
-        for e in self.edges:
-            if e.slope == slope:
-                return e
-        best = min(self.points, key=lambda p: (p[1] - slope * p[0], p[0]))
-        return Edge(slope, best, best)
 
     @property
     def edge_slopes(self) -> tuple:
@@ -92,7 +79,7 @@ def _levelled(f: Polynomial) -> ExtensionDescriptor:
     return E
 
 
-def _cross(o, a, b) -> OagValue:
+def _cross(o, a, b) -> tuple:
     """(a - o) x (b - o) for points (index, level); its sign is the turn."""
     return oag_sub(
         oag_scale(oag_sub(b[1], o[1]), a[0] - o[0]),
@@ -103,16 +90,16 @@ def _cross(o, a, b) -> OagValue:
 def lower_hull(points: list) -> list:
     """Vertices of the lower convex hull of points (i, v), i increasing.
 
-    v is a finite value of any rank, ordered lexicographically, so the same
-    monotone chain serves every rank. Collinear middle points are dropped, so
-    consecutive vertices span maximal edges. For the edge from (i, v) to
-    (j, w) and g = (v - w)/(j - i), the minimum of v' + i'*g over all points
-    (i', v') is attained exactly at the points on that edge.
+    v is a level of any rank, ordered lexicographically as a tuple, so the
+    same monotone chain serves every rank. Collinear middle points are
+    dropped, so consecutive vertices span maximal edges. For the edge from
+    (i, v) to (j, w) and g = (v - w)/(j - i), the minimum of v' + i'*g over
+    all points (i', v') is attained exactly at the points on that edge.
     """
     hull = []
-    zero = oag_zero(points[0][1].rank) if points else None
+    zero = oag_zero(len(points[0][1])) if points else None
     for p in points:
-        while len(hull) >= 2 and oag_cmp(_cross(hull[-2], hull[-1], p), zero) <= 0:
+        while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) <= zero:
             hull.pop()
         hull.append(p)
     return hull
@@ -126,8 +113,8 @@ def newton_polygon(f: Polynomial) -> NewtonPolygon:
     if f.is_zero:
         raise StructuralError("the zero polynomial has no newton polygon")
     points = [(i, f.coeffs[i].level) for i in f.support]
-    pts = tuple((i, v.coords[0]) for i, v in points)
-    hull = [(i, v.coords[0]) for i, v in lower_hull(points)]
+    pts = tuple((i, v[0]) for i, v in points)
+    hull = [(i, v[0]) for i, v in lower_hull(points)]
     edges = tuple(
         Edge(
             Fraction(b[1] - a[1], b[0] - a[0]),
@@ -143,27 +130,16 @@ def newton_polygon(f: Polynomial) -> NewtonPolygon:
 # initial forms
 
 
-def _level_of(E: ExtensionDescriptor, gamma) -> OagValue:
-    if isinstance(gamma, OagValue):
-        if gamma.is_infinite or gamma.rank != E.rank:
-            raise StructuralError("level has the wrong rank")
-        return gamma
-    if isinstance(gamma, tuple):
-        return OagValue(tuple(Fraction(c) for c in gamma))
-    return OagValue((Fraction(gamma),))
-
-
-def _argmin_levels(f: Polynomial, gamma: OagValue):
+def _argmin_levels(f: Polynomial, gamma: tuple):
     """Indices minimizing v(c_i) + i*gamma, with the minimum itself."""
     best = None
     idx = []
     for i in f.support:
         val = oag_add(f.coeffs[i].level, oag_scale(gamma, i))
-        c = -1 if best is None else oag_cmp(val, best)
-        if c < 0:
+        if best is None or val < best:
             best = val
             idx = [i]
-        elif c == 0:
+        elif val == best:
             idx.append(i)
     return idx, best
 
@@ -178,7 +154,7 @@ def initial_form_split(f: Polynomial, gamma) -> tuple:
     E = _levelled(f)
     if f.is_zero:
         raise StructuralError("the zero polynomial has no initial form")
-    gamma = _level_of(E, gamma)
+    gamma = as_level(gamma, E.rank)
     idx, g0 = _argmin_levels(f, gamma)
     base = E.base
     coeffs = [base.zero] * (max(idx) + 1)
@@ -208,27 +184,26 @@ def initial_form_rounds(f: Polynomial, gamma) -> list:
         raise StructuralError("projection rounds need a split extension")
     if f.is_zero:
         raise StructuralError("the zero polynomial has no initial form")
-    gamma = _level_of(E, gamma)
+    gamma = as_level(gamma, E.rank)
     rounds = []
     while True:
         if E.rank == 1:
-            P, _ = initial_form_split(f, gamma.coords[0])
+            P, _ = initial_form_split(f, gamma)
             rounds.append(P)
             return rounds
         shifted = {
             i: oag_add(f.coeffs[i].level, oag_scale(gamma, i)) for i in f.support
         }
-        heads = {i: v.coords[0] for i, v in shifted.items()}
+        heads = {i: v[0] for i, v in shifted.items()}
         m = min(heads.values())
         idx = [i for i in f.support if heads[i] == m]
         E2 = trop_extension(E.base, E.rank - 1)
         coeffs = [E2.zero] * (max(idx) + 1)
         for i in idx:
-            _, tail = oag_project_head(f.coeffs[i].level)
-            coeffs[i] = ExtElement(f.coeffs[i].unit, tail)
+            coeffs[i] = ExtElement(f.coeffs[i].unit, f.coeffs[i].level[1:])
         f = Polynomial(E2, coeffs)
         rounds.append(f)
-        _, gamma = oag_project_head(gamma)
+        gamma = gamma[1:]
         E = E2
 
 

@@ -42,7 +42,7 @@ from .newton import (
     initial_form_split,
     newton_polygon,
 )
-from .oag import INFINITY, oag_cmp, oag_min, parse_oag_value
+from .oag import parse_oag_value
 from .poly import (
     Polynomial,
     factor_check,
@@ -168,6 +168,11 @@ def sign_division_witness(f: Polynomial, a: int) -> Polynomial:
     return Polynomial(S, g)
 
 
+def _least(levels):
+    """The least level, skipping the None of zero; None if there is none."""
+    return min((v for v in levels if v is not None), default=None)
+
+
 def tropical_division_witness(f: Polynomial, a: ExtElement) -> Polynomial:
     """Quotient of a trivial-unit tropical polynomial at a nonzero point.
 
@@ -184,19 +189,19 @@ def tropical_division_witness(f: Polynomial, a: ExtElement) -> Polynomial:
     h = monomial_substitute(f, a)
     n = h.degree
     w = [E.valuation(h.coeff(i)) for i in range(n + 1)]
-    m = oag_min(w)
-    i1 = max(i for i in range(n + 1) if oag_cmp(w[i], m) == 0)
-    d = [INFINITY] * n
-    run = INFINITY
+    m = _least(w)
+    i1 = max(i for i in range(n + 1) if w[i] == m)
+    d = [None] * n
+    run = None
     for i in range(0, min(i1, n)):
-        run = oag_min([run, w[i]])
+        run = _least([run, w[i]])
         d[i] = run
     for i in range(i1, n):
-        d[i] = oag_min(w[i + 1 :])
+        d[i] = _least(w[i + 1 :])
     unit = E.base.one
     coeffs = []
     for j in range(n):
-        if d[j].is_infinite:
+        if d[j] is None:
             coeffs.append(ExtElement())
         else:
             coeffs.append(E.mul(E.power(a, -(j + 1)), ExtElement(unit, d[j])))
@@ -325,7 +330,7 @@ _QUERIES = {
     "widths": lambda f: [e.width for e in newton_polygon(f).edges],
     "edges": lambda f: sorted((-e.slope, e.width) for e in newton_polygon(f).edges),
     "root levels": lambda f: sorted(
-        a.level.coords[0] for a, m in root_multiplicities(f) for _ in range(m)
+        a.level[0] for a, m in root_multiplicities(f) for _ in range(m)
     ),
     "roots": lambda f: sorted(
         (f.idyll.format_element(a), m) for a, m in root_multiplicities(f)

@@ -70,11 +70,8 @@ class Polynomial:
             return self.coeffs[i]
         return self.idyll.zero
 
-    def map_coeffs(self, fn) -> "Polynomial":
-        return Polynomial(self.idyll, [fn(c) for c in self.coeffs])
-
     def scale(self, u) -> "Polynomial":
-        return self.map_coeffs(lambda c: self.idyll.mul(u, c))
+        return Polynomial(self.idyll, [self.idyll.mul(u, c) for c in self.coeffs])
 
     def shift_down(self, k: int) -> "Polynomial":
         """Divide by x^k; the k lowest coefficients must vanish."""

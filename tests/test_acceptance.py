@@ -108,7 +108,7 @@ def test_tropical_shadow_root_valuations():
             if a.is_zero:
                 continue
             m, _ = multiplicity(f, a)
-            out.extend([a.level.coords[0]] * m)
+            out.extend([a.level[0]] * m)
         return sorted(out)
 
     assert valuation_multiset(trop_of_rational(DESK_CUBIC, 2)) == [0, 1, 2]
@@ -128,7 +128,7 @@ def test_quintic_polygon_and_initial_forms():
     assert [e.width for e in polygon.edges] == [2, 1, 2]
 
     por, lvl = initial_form_at(f, T.elem(1, 1))
-    assert por == Polynomial(K, [1, 1, 1]) and lvl.coords == (2,)
+    assert por == Polynomial(K, [1, 1, 1]) and lvl == (2,)
     pzero, _ = initial_form_at(f, T.elem(1, 0))
     assert pzero == Polynomial(K, [0, 0, 1, 1])
     phalf, _ = initial_form_at(f, T.elem(1, Fraction(-1, 2)))
@@ -157,7 +157,7 @@ def test_catalan_polynomial_roots():
         m, chain = multiplicity(f, a)
         if m:
             assert chain.verify()
-            hits[(a.unit, a.level.coords[0])] = m
+            hits[(a.unit, a.level[0])] = m
     assert hits == {(1, Fraction(0)): 1, (1, Fraction(-1)): 1}
 
 

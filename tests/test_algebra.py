@@ -1,12 +1,14 @@
 """Nullity rules, sum sets, and axioms across the idyll catalog."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from idylls.algebra import (
     PHASE_ZERO,
+    FiniteFieldIdyll,
     FormalSum,
     Idyll,
     ParseError,
@@ -24,7 +26,7 @@ from idylls.algebra import (
     padic_valuation,
 )
 from idylls.extension import EXT_ZERO, tropical
-from idylls.oag import INFINITY, oag
+from idylls.oag import oag
 
 K = krasner()
 S = sign_idyll()
@@ -106,7 +108,28 @@ def test_padic_valuation():
     assert padic_valuation(Fraction(72), 2) == oag(3)
     assert padic_valuation(Fraction(72), 3) == oag(2)
     assert padic_valuation(Fraction(5, 8), 2) == oag(-3)
-    assert padic_valuation(Fraction(0), 2) == INFINITY
+    assert padic_valuation(Fraction(0), 2) is None  # zero has no level
+    assert padic_valuation(0, 2) is None
+
+
+def test_finite_field_order_puts_zero_last():
+    F7 = finite_field(7)
+    assert sorted(F7.elements, key=F7.sort_key) == [1, 2, 3, 4, 5, 6, 0]
+    assert all(F7.contains(x) for x in range(7))
+    assert not any(F7.contains(x) for x in (-1, 7, True, Fraction(1)))
+
+
+def test_large_prime_field_does_not_list_its_carrier():
+    # built directly: the finite_field factory caches its fields
+    tracemalloc.start()
+    try:
+        F = FiniteFieldIdyll(1_000_003)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert F.contains(1_000_002) and not F.contains(1_000_003)
+    assert F.sort_key(1) == 0 and F.sort_key(0) == 1_000_002
 
 
 # -- quotient hyperfields ----------------------------------------------------

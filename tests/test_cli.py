@@ -496,6 +496,14 @@ def test_roots_cap_bounds_the_whole_query(monkeypatch, capsys):
     assert rc == 4
 
 
+def test_huge_prime_field_roots_stop_at_the_cap(monkeypatch, capsys):
+    # GF(p) offers its carrier lazily, so the query budget ends the scan
+    monkeypatch.setenv("IDYLL_SEARCH_CAP", "1000")
+    rc = main(["roots", "--idyll", "field:GF(1000000007)", "--poly", "1 + x"])
+    assert "1000 states" in capsys.readouterr().err
+    assert rc == 4
+
+
 def test_unknown_demo_exit_2(capsys):
     rc = main(["demo", "unknown-walkthrough"])
     capsys.readouterr()

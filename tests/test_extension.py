@@ -24,7 +24,9 @@ from idylls.extension import (
     trop_extension,
     tropical,
 )
-from idylls.oag import INFINITY, oag, oag_cmp
+from idylls.newton import initial_form_split
+from idylls.oag import oag
+from idylls.poly import Polynomial
 
 K = krasner()
 S = sign_idyll()
@@ -50,6 +52,35 @@ def test_elem_rejects_wrong_rank():
         T2.elem(1, 3)
     with pytest.raises(StructuralError):
         T.elem(1, (1, 2))
+
+
+def test_every_spelling_of_a_level_is_one_plain_tuple():
+    spellings = [
+        TR.elem(1, 1),
+        TR.elem(1, Fraction(1)),
+        TR.elem(1, (1,)),
+        TR.parse_element("1^1"),
+    ]
+    for a in spellings:
+        assert a == spellings[0] and hash(a) == hash(spellings[0])
+        assert type(a.level) is tuple and a.level == (Fraction(1),)
+        assert all(type(c) is Fraction for c in a.level)
+
+
+def test_float_levels_are_rejected():
+    with pytest.raises(TypeError):
+        TR.elem(1, 0.5)
+    with pytest.raises(TypeError):
+        T2.elem(1, (0.5, 1))
+
+
+def test_wrong_rank_levels_are_structural_errors_everywhere():
+    f = Polynomial(T2, [T2.elem(1, (0, 0)), T2.elem(1, (1, 0))])
+    for bad in (3, (1, 2, 3)):
+        with pytest.raises(StructuralError):
+            T2.elem(1, bad)
+        with pytest.raises(StructuralError):
+            initial_form_split(f, bad)
 
 
 def test_towers_are_rejected():
@@ -85,8 +116,8 @@ def test_split_inverse():
 def test_valuation_and_leading_unit():
     a = TR.elem(-1, 3)
     assert TR.valuation(a) == oag(3)
-    assert TR.valuation(EXT_ZERO) == INFINITY
-    assert TR.lc(a) == (-1, oag(3))
+    assert TR.valuation(EXT_ZERO) is None  # zero has no level
+    assert (a.unit, TR.valuation(a)) == (-1, oag(3))
 
 
 def test_ev0_reads_the_constant_layer():
@@ -115,7 +146,7 @@ def test_tropical_null_matches_direct_min_rule():
         ]
         levels = [t.level for t in terms]
         if levels:
-            m = min(levels, key=lambda v: v.coords)
+            m = min(levels)
             expected = levels.count(m) >= 2
         else:
             expected = True
@@ -157,7 +188,7 @@ def test_twisted_extension_agrees_with_split_through_the_twist():
     # phi picks a sign per level; the induced cocycle is a coboundary, so the
     # twisted extension is isomorphic to the split one via u -> u*phi(level)
     def phi(g):
-        return -1 if (g.coords[0].numerator % 2) else 1
+        return -1 if (g[0].numerator % 2) else 1
 
     E = trop_extension(S, 1, cocycle=_coboundary(phi), name="twisted")
     rng = random.Random(5)
@@ -175,7 +206,7 @@ def test_twisted_extension_agrees_with_split_through_the_twist():
 
 def test_twisted_multiplication_respects_the_isomorphism():
     def phi(g):
-        return -1 if (g.coords[0].numerator % 2) else 1
+        return -1 if (g[0].numerator % 2) else 1
 
     E = trop_extension(S, 1, cocycle=_coboundary(phi), name="twisted-mul")
 
@@ -191,7 +222,7 @@ def test_twisted_multiplication_respects_the_isomorphism():
 
 def test_twisted_extensions_compare_by_name():
     def phi(g):
-        return -1 if (g.coords[0].numerator % 2) else 1
+        return -1 if (g[0].numerator % 2) else 1
 
     E = trop_extension(S, 1, cocycle=_coboundary(phi), name="twisted")
     same = trop_extension(S, 1, cocycle=_coboundary(phi), name="twisted")
@@ -205,7 +236,7 @@ def test_twisted_extensions_compare_by_name():
 def test_broken_cocycle_is_flagged_by_the_harness():
     # violates the 2-cocycle identity on levels of mixed parity
     def bad(g1, g2):
-        return -1 if (g1.coords[0] + 2 * g2.coords[0]).numerator % 3 == 1 else 1
+        return -1 if (g1[0] + 2 * g2[0]).numerator % 3 == 1 else 1
 
     E = trop_extension(S, 1, cocycle=bad, name="broken")
     violations = check_extension_axioms(E, samples=300)

@@ -267,7 +267,7 @@ def test_morphisms_never_lower_multiplicity_over_extensions():
     TR2 = signed_tropical(2)
 
     def first_coordinate(x):
-        return x if x.is_zero else TR.elem(x.unit, x.level.coords[0])
+        return x if x.is_zero else TR.elem(x.unit, x.level[0])
 
     def forget_sign(x):
         return x if x.is_zero else T.elem(1, x.level)

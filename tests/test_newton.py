@@ -19,7 +19,7 @@ from idylls.newton import (
     newton_polygon,
     render_polygon,
 )
-from idylls.oag import INFINITY, oag, oag_add, oag_cmp, oag_div, oag_scale, oag_sub
+from idylls.oag import oag, oag_add, oag_cmp, oag_div, oag_scale, oag_sub
 from idylls.poly import Polynomial
 
 T = tropical()
@@ -68,13 +68,6 @@ def test_slopes_strictly_increase():
         assert slopes == sorted(slopes)
         assert len(set(slopes)) == len(slopes)
         assert sum(e.width for e in p.edges) == f.support[-1] - f.support[0]
-
-
-def test_edge_of_slope_degenerates_to_a_vertex():
-    p = newton_polygon(QUINTIC)
-    e = p.edge_of_slope(Fraction(1, 4))
-    assert e.width == 0
-    assert e.start == e.end == (3, Fraction(0))
 
 
 def test_initial_supports_of_the_quintic():
@@ -138,10 +131,10 @@ def _pairwise_candidate_levels(f):
     for i, j in itertools.combinations(f.support, 2):
         gamma = oag_div(oag_sub(vals[i], vals[j]), j - i)
         shifted = [oag_add(vals[k], oag_scale(gamma, k)) for k in f.support]
-        best = min(shifted, key=lambda v: v.coords)
+        best = min(shifted)
         if sum(oag_cmp(v, best) == 0 for v in shifted) >= 2:
             levels.add(gamma)
-    return sorted(levels, key=lambda g: g.coords)
+    return sorted(levels)
 
 
 def test_hull_candidate_levels_match_the_pairwise_definition():
@@ -211,7 +204,7 @@ def test_rounds_agree_with_single_lex_argmin():
                 i: oag_add(E.valuation(f.coeffs[i]), oag_scale(g, i))
                 for i in f.support
             }
-            best = min(shifted.values(), key=lambda v: v.coords)
+            best = min(shifted.values())
             argmin = tuple(
                 sorted(i for i, v in shifted.items() if oag_cmp(v, best) == 0)
             )
@@ -227,7 +220,7 @@ def test_rounds_agree_with_single_lex_argmin():
 
 def test_rounds_reject_twisted_extensions():
     def sigma(g1, g2):
-        return -1 if g1.coords[0] % 2 else 1
+        return -1 if g1[0] % 2 else 1
 
     E = trop_extension(sign_idyll(), 2, cocycle=sigma, name="twisted-2")
     f = Polynomial(E, [E.elem(1, (0, 0)), E.elem(1, (0, 0))])
