@@ -15,13 +15,13 @@ hyperfield of rank n is the extension of the Krasner hyperfield by Q^n.
 The finite carriers (Krasner, signs, the partial field, GF(p) and GF(p)/G)
 share one descriptor, ``FiniteIdyll``: a listed monoid with zero plus a null
 rule. Each subclass states its null rule; GF(p) and GF(p)/G also state their
-multiplication.
+multiplication and read their sum sets off representatives.
 
 Elements are plain values interpreted by their owning descriptor: small ints
-for the finite idylls and prime-field residues, Fraction for rationals and
-phase angles (fractions of a full turn), QuotientClass for coset classes,
-ExtElement for tropical extensions. Each descriptor knows its own zero;
-formal sums drop zeros on construction.
+for the finite idylls, prime-field residues, and the least residue of each
+GF(p)/G class; Fraction for rationals and phase angles (fractions of a full
+turn), with None for the phase zero; ExtElement for tropical extensions.
+Each descriptor knows its own zero; formal sums drop zeros on construction.
 """
 
 from __future__ import annotations
@@ -45,41 +45,6 @@ class ForeignElementError(StructuralError):
 
 class UnsupportedOperationError(RuntimeError):
     """The descriptor has no finite enumeration and no closed form for this op."""
-
-
-# parsing failures share one exception type across the value and element layers
-
-
-class _PhaseZero:
-    """Dedicated zero of the phase idyll (angles occupy every Fraction)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "PHASE_ZERO"
-
-
-PHASE_ZERO = _PhaseZero()
-
-
-@dataclass(frozen=True)
-class QuotientClass:
-    """A multiplicative coset of a subgroup of GF(p)^x, or the zero class {0}."""
-
-    p: int
-    reps: frozenset
-
-    @property
-    def rep(self) -> int:
-        return min(self.reps)
-
-    def __repr__(self):
-        return f"[{self.rep} mod {self.p}]"
 
 
 @dataclass(frozen=True)
@@ -324,6 +289,13 @@ class FiniteIdyll(Idyll):
             raise ParseError(f"not an element of {self.name}: {text!r}") from None
         return self.mul(self.epsilon, x) if n < 0 else x
 
+    def sample_elements(self, rng):
+        """Zero, one, epsilon and a seeded draw of other elements."""
+        n = len(self.elements)
+        draw = rng.sample(range(n), min(n, EXHAUSTIVE_CARRIER - 3))
+        picked = [self.zero, self.one, self.epsilon] + [self.elements[i] for i in draw]
+        return tuple(dict.fromkeys(picked))
+
     def sum_set(self, a, b):
         s = self._sum_sets.get((a, b))
         if s is None:
@@ -383,35 +355,33 @@ class PhaseIdyll(Idyll):
     def __init__(self):
         self.name = "phase"
         self.kind = "phase"
-        self.zero = PHASE_ZERO
+        self.zero = None
         self.one = Fraction(0)
         self.epsilon = Fraction(1, 2)
         self.elements = None
         self.is_whole = True
 
     def contains(self, x):
-        if x is PHASE_ZERO:
-            return True
-        return isinstance(x, Fraction) and 0 <= x < 1
+        return x is None or isinstance(x, Fraction) and 0 <= x < 1
 
     def is_zero(self, x):
-        return x is PHASE_ZERO
+        return x is None
 
     def mul(self, a, b):
-        if a is PHASE_ZERO or b is PHASE_ZERO:
-            return PHASE_ZERO
+        if a is None or b is None:
+            return None
         return (a + b) % 1
 
     def inv(self, a):
-        if a is PHASE_ZERO:
+        if a is None:
             raise ZeroDivisionError("0 is not a unit")
         return (-a) % 1
 
     def sort_key(self, x):
-        return (1,) if x is PHASE_ZERO else (0, x)
+        return (1,) if x is None else (0, x)
 
     def format_element(self, x):
-        if x is PHASE_ZERO:
+        if x is None:
             return "0"
         if x == 0:
             return "1"
@@ -420,7 +390,7 @@ class PhaseIdyll(Idyll):
     def parse_element(self, text):
         t = text.strip()
         if t == "0":
-            return PHASE_ZERO
+            return None
         try:
             q = Fraction(t)
         except (ValueError, ZeroDivisionError):
@@ -450,7 +420,7 @@ class PhaseIdyll(Idyll):
         )
 
     def sample_elements(self, rng):
-        return (PHASE_ZERO,) + tuple(Fraction(k, 12) for k in range(12))
+        return (None,) + tuple(Fraction(k, 12) for k in range(12))
 
 
 # ---------------------------------------------------------------------------
@@ -548,10 +518,12 @@ class FiniteFieldIdyll(FiniteIdyll):
 
 
 class QuotientIdyll(FiniteIdyll):
-    """Cosets of a subgroup G of GF(p)^x, plus zero.
+    """Cosets of a subgroup G of GF(p)^x, plus zero, each named by its least
+    residue (zero names the zero class).
 
     A sum of classes is null iff some choice of representatives sums to 0
-    mod p; decided exactly by a reachable-sums sweep over residues.
+    mod p; decided exactly by a reachable-sums sweep over residues. A sum set
+    needs no null test: it is the classes of a + b*h for h in G.
     """
 
     def __init__(self, p: int, subgroup: frozenset):
@@ -563,34 +535,38 @@ class QuotientIdyll(FiniteIdyll):
             raise StructuralError(f"{sorted(g)} is not a subgroup of GF({p})^x")
         self.p = p
         self.subgroup = g
-        self._class_of = {
-            r: QuotientClass(p, frozenset((r * h) % p for h in g)) for r in range(p)
-        }
         super().__init__(
             "quot:GF(%d)/{%s}" % (p, ",".join(str(x) for x in sorted(g))),
             "quotient",
-            # the zero class has rep 0, so it sorts first
-            tuple(sorted(set(self._class_of.values()), key=lambda c: c.rep)),
-            self._class_of[p - 1],
+            tuple(r for r in range(p) if self.class_of(r) == r),
+            self.class_of(p - 1),
             True,
         )
 
     def _key(self):
         return (self.kind, self.p, self.subgroup)
 
-    def class_of(self, residue: int) -> QuotientClass:
-        return self._class_of[residue % self.p]
+    def class_of(self, residue: int) -> int:
+        """The least residue of the class of ``residue``."""
+        return min(residue * h % self.p for h in self.subgroup)
+
+    def contains(self, x):
+        return type(x) is int and 0 <= x < self.p and self.class_of(x) == x
+
+    def sort_key(self, x):
+        # classes by least residue, then zero last
+        return (x - 1) % self.p
 
     def mul(self, a, b):
-        return self.class_of(a.rep * b.rep)
+        return self.class_of(a * b)
 
     def inv(self, a):
-        if self.is_zero(a):
+        if a == 0:
             raise ZeroDivisionError("0 is not a unit")
-        return self.class_of(pow(a.rep, -1, self.p))
+        return self.class_of(pow(a, -1, self.p))
 
     def format_element(self, x):
-        return "0" if self.is_zero(x) else f"[{x.rep}]"
+        return "0" if x == 0 else f"[{x}]"
 
     def parse_element(self, text):
         t = text.strip()
@@ -604,8 +580,12 @@ class QuotientIdyll(FiniteIdyll):
     def null_terms(self, terms):
         reachable = {0}
         for t in terms:
-            reachable = {(r + x) % self.p for r in reachable for x in t.reps}
+            reachable = {(r + t * h) % self.p for r in reachable for h in self.subgroup}
         return 0 in reachable
+
+    def sum_set(self, a, b):
+        # c*k = a*g + b*h for some g, h, k in G; dividing by g leaves g = 1
+        return SumSet(frozenset(self.class_of(a + b * h) for h in self.subgroup))
 
 
 # ---------------------------------------------------------------------------
@@ -730,22 +710,22 @@ def padic_valuation(q, p: int) -> Optional[tuple]:
 # axiom harness
 
 
-def _element_pool(B: Idyll, rng: random.Random):
-    if B.elements is not None:
-        return tuple(B.elements), True
-    return tuple(B.sample_elements(rng)), False
+# finite carriers up to this size are checked element by element
+EXHAUSTIVE_CARRIER = 16
 
 
 def check_idyll_axioms(B: Idyll, max_len: int = 4, seed: int = 0) -> list:
     """Verify the idyll axioms; returns a list of violation strings.
 
-    Finite carriers are checked exhaustively (sums up to ``max_len``);
-    infinite carriers are checked on a deterministic sample pool, which makes
-    the run a sound refutation but only a spot check of universals.
+    Finite carriers of at most ``EXHAUSTIVE_CARRIER`` elements are checked
+    exhaustively (sums up to ``max_len``); larger and infinite carriers are
+    checked on a deterministic sample pool, which makes the run a sound
+    refutation but only a spot check of universals.
     """
     rng = random.Random(seed)
     violations = []
-    pool, exhaustive = _element_pool(B, rng)
+    exhaustive = B.elements is not None and len(B.elements) <= EXHAUSTIVE_CARRIER
+    pool = tuple(B.elements if exhaustive else B.sample_elements(rng))
     units = [x for x in pool if not B.is_zero(x)]
 
     if B.is_zero(B.one):
@@ -761,7 +741,7 @@ def check_idyll_axioms(B: Idyll, max_len: int = 4, seed: int = 0) -> list:
                 violations.append(
                     f"unit product hit zero: {B.format_element(a)}*{B.format_element(b)}"
                 )
-            if exhaustive and ab not in pool:
+            if not B.contains(ab):
                 violations.append(f"product left the carrier: {B.format_element(ab)}")
             if ab != B.mul(b, a):
                 violations.append("multiplication is not commutative")
@@ -772,8 +752,9 @@ def check_idyll_axioms(B: Idyll, max_len: int = 4, seed: int = 0) -> list:
                 violations.append(f"inverse failed for {B.format_element(a)}")
         except ZeroDivisionError:
             violations.append(f"no inverse for unit {B.format_element(a)}")
-    triples = list(itertools.product(units, repeat=3))
-    if len(triples) > 1000:
+    if len(units) ** 3 <= 1000:
+        triples = itertools.product(units, repeat=3)
+    else:
         triples = [tuple(rng.choice(units) for _ in range(3)) for _ in range(1000)]
     for a, b, c in triples:
         if B.mul(B.mul(a, b), c) != B.mul(a, B.mul(b, c)):

@@ -298,27 +298,20 @@ def _sign_changes(f: Polynomial) -> int:
     return sum(1 for x, y in zip(seq, seq[1:]) if x != y)
 
 
-def _field_add(B, x, y):
-    if isinstance(B, FiniteFieldIdyll):
-        return (x + y) % B.p
-    return x + y
-
-
 def _field_division_count(f: Polynomial, a) -> int:
     B = f.idyll
     count = 0
     cur = list(f.coeffs)
     while cur:
-        quot = [B.zero] * (len(cur) - 1)
-        acc = B.zero
-        for i in range(len(cur) - 1, 0, -1):
-            acc = _field_add(B, cur[i], B.mul(a, acc))
-            quot[i - 1] = acc
-        rem = _field_add(B, cur[0], B.mul(a, acc))
-        if not B.is_zero(rem):
+        # synthetic division, top coefficient first; the last value is the remainder
+        acc, quot = B.zero, []
+        for c in reversed(cur):
+            (acc,) = B.sum_set(c, B.mul(a, acc))
+            quot.append(acc)
+        if not B.is_zero(quot.pop()):
             break
         count += 1
-        cur = quot
+        cur = quot[::-1]
     return count
 
 

@@ -30,6 +30,7 @@ from .mult import (
     SearchCapExceeded,
     _budget,
     _longest_chain,
+    degree_bound_check,
     divide_once,
     is_root,
     mult_closed_form,
@@ -238,6 +239,7 @@ PINNED_INSTANCES = {
     "GF(5)/{1,4} quadratic": ("quot:GF(5)/{1,4}", "1 + x^2"),
     "krasner gap quintic": ("krasner", "1 + x^5"),
     "phase quadratic": ("phase", "1 + x + x^2"),
+    "GF(5)/{1,4} cubic": ("quot:GF(5)/{1,4}", "[2] + x + x^2 + x^3"),
 }
 
 DEMO_INTROS = {
@@ -249,6 +251,7 @@ DEMO_INTROS = {
     "higher-rank": "rank-2 levels, read one coordinate at a time",
     "division-rules": "division witnesses by rule, by search and by brute force",
     "phase": "unit-circle quadratic: roots fill an open arc",
+    "degree-bound": "GF(5)/{1,4} is not stringent: cubic root multiplicities sum to 5",
 }
 
 _SEXTIC_WITNESS = "1 + -1*x + 1*x^2 + -1*x^3 + -1*x^4 + 1*x^5"
@@ -301,6 +304,8 @@ PINNED_CHECKS = (
     ("phase", "phase quadratic", "is_root", ("3/8", "5/8"), (True, True)),
     ("phase", "phase quadratic", "is_root", ("1/4", "3/4"), (False, False)),
     ("phase", "phase quadratic", "is_root", ("1/8",), False),
+    ("degree-bound", "GF(5)/{1,4} cubic", "roots", (), [("[1]", 2), ("[2]", 3)]),
+    ("degree-bound", "GF(5)/{1,4} cubic", "degree bound", (), (5, 3, False)),
 )
 
 DEMO_NAMES = tuple(dict.fromkeys(row[0] for row in PINNED_CHECKS))
@@ -340,6 +345,7 @@ _QUERIES = {
     ),
     "first round": lambda f, g: initial_form_rounds(f, parse_oag_value(g))[0].support,
     "final round": lambda f, g: initial_form_recursive(f, parse_oag_value(g)).support,
+    "degree bound": degree_bound_check,
     "is_root": _is_root,
     "divides": lambda f, a: bool(divide_once(f, _at(f, a))),
     "factor_check": lambda f, a, g: factor_check(f, _at(f, a), parse_poly(g, f.idyll)),
@@ -376,6 +382,6 @@ def check_pinned(group: str, instance: str, query: str, points: tuple, expected)
 def run_pinned_corpus() -> list:
     """Every row of the pinned table, then the one check with no polynomial."""
     Q54 = quotient_hyperfield(5, frozenset({1, 4}))
-    epsilon = OracleReport("GF(5)/{1,4}: epsilon is one", Q54.one, Q54.epsilon,
-                           Q54.one == Q54.epsilon)
+    epsilon = OracleReport("GF(5)/{1,4}: epsilon is one", Q54.format_element(Q54.one),
+                           Q54.format_element(Q54.epsilon), Q54.one == Q54.epsilon)
     return [check_pinned(*row) for row in PINNED_CHECKS] + [epsilon]

@@ -7,11 +7,11 @@ from fractions import Fraction
 import pytest
 
 from idylls.algebra import (
-    PHASE_ZERO,
     FiniteFieldIdyll,
     FormalSum,
     Idyll,
     ParseError,
+    QuotientIdyll,
     SumSet,
     UnsupportedOperationError,
     check_idyll_axioms,
@@ -154,6 +154,69 @@ def test_quotient_gf7_squares():
 def test_quotient_rejects_non_subgroup():
     with pytest.raises(ValueError):
         quotient_hyperfield(5, (1, 2))  # 2*2=4 not in the set
+
+
+def test_quotient_classes_are_least_residues():
+    H = quotient_hyperfield(13, (1, 3, 9))
+    assert H.elements == (0, 1, 2, 4, 7)
+    assert [H.class_of(r) for r in (3, 9, 5, 6, 8, 10, 11, 12, 26)] == [
+        1, 1, 2, 2, 7, 4, 7, 4, 0
+    ]
+    assert sorted(H.elements, key=H.sort_key) == [1, 2, 4, 7, 0]
+    assert H.contains(4) and not any(H.contains(x) for x in (3, 13, -1, True))
+    assert H.mul(2, 7) == 1 and H.inv(2) == 7 and H.epsilon == 4
+
+
+QUOTIENTS = [
+    quotient_hyperfield(p, g)
+    for p, g in [
+        (5, (1, 4)), (7, (1, 2, 4)), (7, (1, 6)),
+        (11, (1, 10)), (13, (1, 3, 9)), (13, (1, 5, 8, 12)),
+    ]
+]
+
+
+@pytest.mark.parametrize("H", QUOTIENTS, ids=lambda h: h.name)
+def test_quotient_sum_set_matches_a_fresh_scan(H):
+    for a in H.elements:
+        for b in H.elements:
+            fresh = frozenset(
+                c for c in H.elements if H.is_null([a, b, H.mul(H.epsilon, c)])
+            )
+            assert H.sum_set(a, b) == fresh, (a, b)
+
+
+def _count_null_tests(B, monkeypatch):
+    """A list that grows by one entry per null test B runs."""
+    calls = []
+    null_terms = B.null_terms
+
+    def counting(terms):
+        calls.append(1)
+        return null_terms(terms)
+
+    monkeypatch.setattr(B, "null_terms", counting)
+    return calls
+
+
+def test_quotient_sum_set_runs_no_null_test(monkeypatch):
+    H = quotient_hyperfield(100003, (1, 100002))
+    one, two, three = (H.class_of(r) for r in (1, 2, 3))
+    calls = _count_null_tests(H, monkeypatch)
+    assert H.sum_set(one, two) == {one, three}  # 1 + 2 and 1 - 2
+    assert len(calls) == 0
+
+
+def test_large_quotient_keeps_no_per_residue_table():
+    # built directly: the quotient_hyperfield factory caches its descriptors
+    tracemalloc.start()
+    try:
+        H = QuotientIdyll(100003, frozenset({1, 100002}))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+    assert len(H.elements) == 50002 and H.class_of(100001) == 2
 
 
 # -- value groups (min-plus): the tropical numbers of rank n -----------------
@@ -305,14 +368,14 @@ def test_phase_pinned_examples():
 
 
 def test_phase_zero_terms_are_dropped():
-    assert P.is_null(FormalSum(P, [PHASE_ZERO]))
-    assert P.is_null(FormalSum(P, [Fraction(0), PHASE_ZERO, Fraction(1, 2)]))
-    assert not P.is_null(FormalSum(P, [Fraction(0), PHASE_ZERO]))
+    assert P.is_null(FormalSum(P, [P.zero]))
+    assert P.is_null(FormalSum(P, [Fraction(0), P.zero, Fraction(1, 2)]))
+    assert not P.is_null(FormalSum(P, [Fraction(0), P.zero]))
 
 
 def test_phase_multiplication_adds_angles():
     assert P.mul(Fraction(1, 3), Fraction(5, 6)) == Fraction(1, 6)
-    assert P.mul(Fraction(1, 4), PHASE_ZERO) == PHASE_ZERO
+    assert P.mul(Fraction(1, 4), P.zero) == P.zero
     assert P.inv(Fraction(1, 3)) == Fraction(2, 3)
 
 
@@ -377,9 +440,7 @@ def test_sum_set_iteration_hits_core_only():
     assert val(G, 99) in s  # but the tail still answers membership
 
 
-@pytest.mark.parametrize(
-    "B", [krasner(), sign_idyll(), f1pm(), quotient_hyperfield(7, {1, 2, 4})]
-)
+@pytest.mark.parametrize("B", [krasner(), sign_idyll(), f1pm()])
 def test_memoised_sum_sets_match_a_fresh_scan(B):
     for a in B.elements:
         for b in B.elements:
@@ -400,6 +461,21 @@ CATALOG = [K, S, F, P, Q, F5, quotient_hyperfield(5, (1, 4)), tropical(1), tropi
 @pytest.mark.parametrize("B", CATALOG, ids=lambda b: b.name)
 def test_axiom_harness_passes(B):
     assert check_idyll_axioms(B, max_len=4) == []
+
+
+def test_axiom_harness_samples_large_finite_carriers(monkeypatch):
+    # every multiset of at most 4 of the 100 units of GF(101) would be ~4.6M tests
+    B = FiniteFieldIdyll(101)
+    calls = _count_null_tests(B, monkeypatch)
+    assert check_idyll_axioms(B) == []
+    assert 0 < len(calls) < 10_000
+    tracemalloc.start()
+    try:
+        assert check_idyll_axioms(FiniteFieldIdyll(1_000_003)) == []
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_axiom_harness_flags_a_missing_epsilon():

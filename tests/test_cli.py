@@ -354,6 +354,13 @@ def test_axioms_subcommand(capsys):
         assert rc == 0
 
 
+def test_axioms_finish_on_a_large_prime_field(capsys):
+    # exhaustive only up to a fixed carrier size; GF(101) gets a seeded sample
+    rc = main(["axioms", "--idyll", "field:GF(101)"])
+    assert "all checks passed" in capsys.readouterr().out
+    assert rc == 0
+
+
 def test_all_demos_pass(capsys):
     for name in DEMO_NAMES:
         rc = main(["demo", name])

@@ -13,6 +13,7 @@ from idylls.algebra import (
     finite_field,
     krasner,
     padic_valuation,
+    quotient_hyperfield,
     rational_field,
     sign_idyll,
     sign_of_rational,
@@ -28,11 +29,12 @@ from idylls.mult import (
     mult_closed_form,
     multiplicity,
     root_candidates,
+    root_multiplicities,
 )
 from idylls.newton import initial_form_at
 from idylls.oag import oag
 from idylls.oracle import exhaustive_multiplicity
-from idylls.poly import Polynomial, factor_check
+from idylls.poly import Polynomial, factor_check, parse_idyll_name, parse_poly
 
 K = krasner()
 S = sign_idyll()
@@ -310,6 +312,52 @@ def test_morphisms_never_lower_multiplicity_from_the_rationals():
                 _assert_mult_never_drops(f, a, maps)
                 pairs += 1
     assert pairs > 200
+
+
+def _to_krasner(x):
+    return 0 if x == 0 else 1
+
+
+def test_morphisms_never_lower_multiplicity_from_finite_fields():
+    # GF(p) -> GF(p)/G (r to its class) -> Krasner, on products of linear
+    # factors built over Q and reduced mod p
+    rng = random.Random(31)
+    pairs = 0
+    for p, g in [(7, (1, 2, 4)), (13, (1, 3, 9))]:
+        F, H = finite_field(p), quotient_hyperfield(p, g)
+        for _ in range(40):
+            factors = [rng.randrange(1, p) for _ in range(rng.randint(1, 4))]
+            f = Polynomial(Q, [1])
+            for r in factors:
+                f = _times_linear(f, r)
+            f = _image(f, lambda q: int(q) % p, F)
+            for a in set(factors):
+                assert multiplicity(f, a)[0] == factors.count(a)
+                _assert_mult_never_drops(f, a, [(H.class_of, H), (_to_krasner, K)])
+                _assert_mult_never_drops(f, a, [(_to_krasner, K)])
+                fH = _image(f, H.class_of, H)
+                _assert_mult_never_drops(fH, H.class_of(a), [(_to_krasner, K)])
+                pairs += 1
+    assert pairs > 100
+
+
+def test_sign_to_krasner_never_lowers_multiplicity():
+    roots = [Fraction(r) for r in ("1", "-1", "2", "-2", "1/2", "3")]
+    rng = random.Random(37)
+    for _ in range(40):
+        factors = [rng.choice(roots) for _ in range(rng.randint(1, 4))]
+        f = Polynomial(Q, [1])
+        for r in factors:
+            f = _times_linear(f, r)
+        f = _image(f, sign_of_rational, S)
+        for a in (1, -1):
+            _assert_mult_never_drops(f, a, [(_to_krasner, K)])
+
+
+def test_large_quotient_roots_answer_without_a_carrier_scan():
+    H = parse_idyll_name("quot:GF(10007)/{1,10006}")
+    assert root_multiplicities(parse_poly("1 + x^2", H)) == [(1, 2)]
+
 
 # -- budget ------------------------------------------------------------------------
 
