@@ -177,16 +177,6 @@ class Idyll:
     def inv(self, a):
         raise NotImplementedError
 
-    def power(self, a, n: int):
-        """a^n for n in Z (negative n inverts; a must be a unit then)."""
-        if n < 0:
-            a = self.inv(a)
-            n = -n
-        result = self.one
-        for _ in range(n):
-            result = self.mul(result, a)
-        return result
-
     def sort_key(self, x):
         raise NotImplementedError
 
@@ -531,14 +521,22 @@ class QuotientIdyll(FiniteIdyll):
         g = frozenset(int(x) % p for x in subgroup)
         if not g or 0 in g:
             raise StructuralError("subgroup must consist of nonzero residues")
-        if 1 not in g or any((a * b) % p not in g for a in g for b in g):
+        # GF(p)^x is cyclic, so its only subgroup of order d is {h : h^d = 1}
+        if (p - 1) % len(g) or any(pow(h, len(g), p) != 1 for h in g):
             raise StructuralError(f"{sorted(g)} is not a subgroup of GF({p})^x")
         self.p = p
         self.subgroup = g
+        # one marking sweep: the first unmarked residue is its class's least
+        least, marked = [0], bytearray(p)
+        for r in range(1, p):
+            if not marked[r]:
+                least.append(r)
+                for h in g:
+                    marked[r * h % p] = 1
         super().__init__(
             "quot:GF(%d)/{%s}" % (p, ",".join(str(x) for x in sorted(g))),
             "quotient",
-            tuple(r for r in range(p) if self.class_of(r) == r),
+            tuple(least),
             self.class_of(p - 1),
             True,
         )

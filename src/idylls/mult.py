@@ -30,7 +30,13 @@ from .algebra import (
 from .extension import EXT_ZERO, ExtElement, ExtensionDescriptor
 from .newton import initial_form_at, lower_hull
 from .oag import oag_add, oag_div, oag_scale, oag_sub, oag_zero
-from .poly import Polynomial, eval_sum, factor_check, monomial_substitute
+from .poly import (
+    Polynomial,
+    eval_sum,
+    factor_check,
+    monomial_substitute,
+    rescale_quotient,
+)
 
 DEFAULT_SEARCH_CAP = 100_000
 
@@ -123,10 +129,10 @@ def divide_once(f: Polynomial, a, tails: str = "auto", cap: int = None) -> list:
     their midpoints, which suffices for every witness: a tail coefficient
     that matters must eventually tie a coefficient level from below, and a
     self-cancelling run only needs some level strictly between two coefficient
-    levels. tails="grid" uses the larger `quotient_level_grid` pool instead;
-    tails="none" disables tail branching (sound but incomplete). cap bounds
-    the search states of this call; `multiplicity` passes its own budget
-    instead, so that one cap bounds the whole chain search.
+    levels. tails="grid" uses the larger `quotient_level_grid` pool, shifted
+    alike; tails="none" disables tail branching (sound but incomplete). cap
+    bounds the search states of this call; `multiplicity` passes its own
+    budget instead, so that one cap bounds the whole chain search.
     """
     B = f.idyll
     if not B.contains(a):
@@ -195,11 +201,10 @@ def _tail_pool(f: Polynomial, a, tails: str) -> tuple:
     """Tail candidates as (levels, gamma, units), levels ascending.
 
     Position j offers every unit at level t - (j+1)*gamma for each t in
-    levels. The auto pool takes the shifted support levels and their
-    midpoints with gamma the level of a; the grid pool is already shifted,
-    so gamma is 0. Only sum sets over a tropical extension have tails (the
-    value groups of every rank live there); every other idyll gets an empty
-    pool, as does tails="none".
+    levels, gamma the level of a. Both pools grow from the shifted support
+    levels w_i = v(c_i) + i*gamma: auto adds the midpoints of neighbouring
+    w's, grid is `quotient_level_grid`. Only sum sets over a tropical
+    extension have tails; other idylls, and tails="none", get an empty pool.
     """
     B = f.idyll
     if tails == "none" or not isinstance(B, ExtensionDescriptor):
@@ -210,41 +215,22 @@ def _tail_pool(f: Polynomial, a, tails: str) -> tuple:
             f"{B.base.name} has infinitely many units"
         )
     units = [u for u in B.base.elements if not B.base.is_zero(u)]
-    if tails == "grid":
-        levels = [] if a.is_zero else quotient_level_grid(f, a)
-        return levels, oag_zero(B.rank), units
     gamma = a.level
     shifted = sorted(
         {oag_add(f.coeffs[i].level, oag_scale(gamma, i)) for i in f.support}
     )
-    return _with_midpoints(shifted), gamma, units
+    pool = quotient_level_grid if tails == "grid" else _with_midpoints
+    return pool(shifted), gamma, units
 
 
-def quotient_level_grid(f: Polynomial, a: ExtElement) -> list:
-    """Finite level set guaranteed to contain all quotient coefficient levels.
+def quotient_level_grid(shifted: list) -> list:
+    """The grid pool of tail levels, in the shifted coordinates of the pool.
 
-    Quotient levels are reachable from the shifted support levels
-    w_i = v(c_i) + i*v(a) by adding a nonnegative difference of two of them
-    and subtracting (j+1)*v(a) for the coefficient position j.
+    Each level is a shifted support level w plus a nonnegative difference of
+    two of them (position j offers it minus (j+1)*gamma); shifted ascends.
     """
-    E = f.idyll
-    g1 = a.level
-    shifted = [
-        oag_add(f.coeffs[i].level, oag_scale(g1, i)) for i in f.support
-    ]
-    zero = oag_zero(E.rank)
-    diffs = {zero}
-    for w1 in shifted:
-        for w2 in shifted:
-            d = oag_sub(w2, w1)
-            if d >= zero:
-                diffs.add(d)
-    grid = set()
-    for w in shifted:
-        for d in diffs:
-            for j in range(max(f.degree, 1)):
-                grid.add(oag_sub(oag_add(w, d), oag_scale(g1, j + 1)))
-    return sorted(grid)
+    diffs = {oag_sub(w2, w1) for i, w1 in enumerate(shifted) for w2 in shifted[i:]}
+    return sorted({oag_add(w, d) for w in shifted for d in diffs})
 
 
 def multiplicity(f: Polynomial, a, cap: int = None) -> tuple:
@@ -361,10 +347,11 @@ def lift_factorization(f: Polynomial, a: ExtElement, g: Polynomial) -> Polynomia
     The construction normalizes f to F = f(a x) / (1, g0), whose minimal
     levels sit at level 0 with units matching P twisted by powers of u. The
     quotient of F at the point (1, 0) is then assembled in three zones:
-    prescribed level-0 units from g across the span of P, a left run solved
-    upward from the constant term, interior gaps and the right run solved
-    downward from the top. All synthesized entries sit at strictly positive
-    levels, so they never disturb the minimal layer.
+    prescribed level-0 units from g moved to 1 by `rescale_quotient` across
+    the span of P, a left run solved upward from the constant term, interior
+    gaps and the right run solved downward from the top. All synthesized
+    entries sit at strictly positive levels, so they never disturb the
+    minimal layer.
     """
     E = f.idyll
     if not isinstance(E, ExtensionDescriptor):
@@ -387,19 +374,17 @@ def lift_factorization(f: Polynomial, a: ExtElement, g: Polynomial) -> Polynomia
 
     n = f.degree
     zero_level = oag_zero(E.rank)
-    h = monomial_substitute(f, a)
     r = ExtElement(base.one, g0)
-    r_inv = E.inv(r)
-    F = h.scale(r_inv)
+    F = monomial_substitute(f, a).scale(E.inv(r))
     level0 = [i for i in F.support if F.coeffs[i].level == zero_level]
     i0, i1 = level0[0], level0[-1]
 
-    # prescribed middle: normalized units of g at level 0
+    # prescribed middle: g moved to the unit point, at level 0; a witness for
+    # P is supported in [i0, i1), since no nonzero singleton is null
+    gu = rescale_quotient(g, u)
     d = [None] * n
-    for i in range(i0, i1):
-        gi = g.coeff(i)
-        if not base.is_zero(gi):
-            d[i] = ExtElement(base.mul(base.power(u, i + 1), gi), zero_level)
+    for i in gu.support:
+        d[i] = ExtElement(gu.coeffs[i], zero_level)
 
     def pick(s: SumSet) -> ExtElement:
         return min(s.core, key=E.sort_key)
@@ -430,12 +415,8 @@ def lift_factorization(f: Polynomial, a: ExtElement, g: Polynomial) -> Polynomia
         for j in range(n - 1, i1, -1):
             d[j - 1] = pick(E.sum_set(F.coeff(j), d[j]))
 
-    # undo the normalization: gt_j = a^(-j-1) * r * d_j
-    coeffs = []
-    for j in range(n):
-        shift = E.mul(E.power(a, -(j + 1)), r)
-        coeffs.append(E.mul(shift, d[j]))
-    gt = Polynomial(E, coeffs)
+    # undo the normalization: gt_j = r * a^(-j-1) * d_j
+    gt = rescale_quotient(Polynomial(E, d), E.inv(a)).scale(r)
 
     if not factor_check(f, a, gt):
         raise StructuralError("lift failed its own factorization check")

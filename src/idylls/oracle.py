@@ -5,7 +5,8 @@ carrier straight from the definition of a factorization witness, so it can
 confirm or refute the search engine and the closed forms independently.
 `bounded_extension_oracle` plays the same role over an extension, where the
 carrier is infinite, by drawing quotient coefficients from a finite level
-grid that provably contains all witness levels.
+grid that provably contains all witness levels. The one-step witness rules
+move base rules by substitution; the tropical staircase lifts the span rule.
 
 The pinned corpus is one table of the paper's worked examples: named
 instances (an idyll name and a polynomial literal) and the checks on them,
@@ -33,11 +34,13 @@ from .mult import (
     degree_bound_check,
     divide_once,
     is_root,
+    lift_factorization,
     mult_closed_form,
     multiplicity,
     root_multiplicities,
 )
 from .newton import (
+    initial_form_at,
     initial_form_recursive,
     initial_form_rounds,
     initial_form_split,
@@ -50,6 +53,7 @@ from .poly import (
     monomial_substitute,
     parse_idyll_name,
     parse_poly,
+    rescale_quotient,
     sign_of_poly,
     trop_of_rational,
 )
@@ -142,17 +146,13 @@ def sign_division_witness(f: Polynomial, a: int) -> Polynomial:
 
     At +1: below the first sign change the quotient carries the opposite of
     the leading run's sign; from there on, position i copies the sign of the
-    next supported coefficient above i. At -1 the rule is conjugated through
-    x -> -x. Requires at least one sign change (a root).
+    next supported coefficient above i. At -1 the rule runs on f(-x), and
+    `rescale_quotient` moves its quotient back. Needs a sign change (a root).
     """
     S = f.idyll
     if a == -1:
         flipped = sign_division_witness(monomial_substitute(f, -1), 1)
-        coeffs = [
-            S.mul(flipped.coeff(j), 1 if j % 2 else -1)
-            for j in range(flipped.degree + 1)
-        ]
-        return Polynomial(S, coeffs)
+        return rescale_quotient(flipped, -1)
     support = f.support
     s0 = f.coeffs[support[0]]
     changes = [p for p in support if f.coeffs[p] != s0]
@@ -169,44 +169,21 @@ def sign_division_witness(f: Polynomial, a: int) -> Polynomial:
     return Polynomial(S, g)
 
 
-def _least(levels):
-    """The least level, skipping the None of zero; None if there is none."""
-    return min((v for v in levels if v is not None), default=None)
-
-
 def tropical_division_witness(f: Polynomial, a: ExtElement) -> Polynomial:
-    """Quotient of a trivial-unit tropical polynomial at a nonzero point.
+    """Quotient of a trivial-unit tropical polynomial at a nonzero root.
 
-    Substitute x -> a*x, then fill the quotient levels by two staircases on
-    the shifted levels w_i: running minima from the left up to the last
-    index achieving min(w), suffix minima from there on. Undoing the
-    substitution scales position j by a^(-j-1).
+    The lift of the Krasner span rule (ones across the support span of the
+    initial form at a): two staircases on the levels w_i of f(a*x), running
+    minima up to the last index achieving min(w) and suffix minima after it.
     """
     E = f.idyll
     if E.base.kind != "krasner":
         raise UnsupportedOperationError("the staircase rule needs trivial units")
-    if a.is_zero:
-        raise StructuralError("use the support shift at zero")
-    h = monomial_substitute(f, a)
-    n = h.degree
-    w = [E.valuation(h.coeff(i)) for i in range(n + 1)]
-    m = _least(w)
-    i1 = max(i for i in range(n + 1) if w[i] == m)
-    d = [None] * n
-    run = None
-    for i in range(0, min(i1, n)):
-        run = _least([run, w[i]])
-        d[i] = run
-    for i in range(i1, n):
-        d[i] = _least(w[i + 1 :])
-    unit = E.base.one
-    coeffs = []
-    for j in range(n):
-        if d[j] is None:
-            coeffs.append(ExtElement())
-        else:
-            coeffs.append(E.mul(E.power(a, -(j + 1)), ExtElement(unit, d[j])))
-    return Polynomial(E, coeffs)
+    span = initial_form_at(f, a)[0].support
+    if len(span) < 2:
+        raise StructuralError(f"{E.format_element(a)} is not a root of {f}")
+    ones = [0] * span[0] + [1] * (span[-1] - span[0])
+    return lift_factorization(f, a, Polynomial(E.base, ones))
 
 
 # ---------------------------------------------------------------------------

@@ -113,7 +113,11 @@ def eval_sum(f: Polynomial, a) -> FormalSum:
     B = f.idyll
     if not B.contains(a):
         raise ForeignElementError(f"{a!r} is not an element of {B.name}")
-    terms = [B.mul(f.coeffs[i], B.power(a, i)) for i in f.support]
+    # a^i built up as i grows, so a may be zero (a^0 is one)
+    terms, power = [], B.one
+    for c in f.coeffs:
+        terms.append(B.mul(c, power))
+        power = B.mul(power, a)
     return FormalSum(B, terms)
 
 
@@ -124,9 +128,21 @@ def monomial_substitute(f: Polynomial, c) -> Polynomial:
         raise ForeignElementError(f"{c!r} is not an element of {B.name}")
     if B.is_zero(c):
         raise StructuralError("substitution unit must be nonzero")
-    return Polynomial(
-        B, [B.mul(B.power(c, i), f.coeffs[i]) for i in range(len(f.coeffs))]
-    )
+    coeffs, power = [], B.one
+    for x in f.coeffs:
+        coeffs.append(B.mul(power, x))
+        power = B.mul(power, c)
+    return Polynomial(B, coeffs)
+
+
+def rescale_quotient(g: Polynomial, c) -> Polynomial:
+    """c*g(c*x): coefficient j picks up c^(j+1).
+
+    If g is a quotient of f at a, this is a quotient of f(c*x) at a/c, since
+    f(c*x) = (c*x - a)*g(c*x) = (x - a/c)*c*g(c*x), degree by degree. So
+    c = a moves a division at a to the unit point, and c = 1/a moves it back.
+    """
+    return monomial_substitute(g, c).scale(c)
 
 
 def factor_check(f: Polynomial, a, g: Polynomial) -> bool:

@@ -1,6 +1,8 @@
 """Nullity rules, sum sets, and axioms across the idyll catalog."""
 
 import itertools
+import re
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ from idylls.algebra import (
     Idyll,
     ParseError,
     QuotientIdyll,
+    StructuralError,
     SumSet,
     UnsupportedOperationError,
     check_idyll_axioms,
@@ -217,6 +220,31 @@ def test_large_quotient_keeps_no_per_residue_table():
         tracemalloc.stop()
     assert peak < 5_000_000
     assert len(H.elements) == 50002 and H.class_of(100001) == 2
+
+
+def test_quotient_by_a_large_subgroup_builds_in_linear_time(monkeypatch):
+    # G is the 5,003 squares of GF(10007)^x, given as a literal set; the
+    # subgroup test is by order (GF(p)^x is cyclic) and the least residues
+    # come from one marking sweep, so no residue needs its own class_of
+    p = 10007
+    squares = frozenset(x * x % p for x in range(1, p))
+    calls = []
+    class_of = QuotientIdyll.class_of
+
+    def counting(self, residue):
+        calls.append(residue)
+        return class_of(self, residue)
+
+    monkeypatch.setattr(QuotientIdyll, "class_of", counting)
+    start = time.perf_counter()
+    H = QuotientIdyll(p, squares)
+    assert time.perf_counter() - start < 5  # a pairwise closure scan of G takes seconds
+    assert len(calls) <= 1  # epsilon, the class of p - 1
+    assert H.elements == (0, 1, 5) and H.epsilon == 5
+    for g in [(1, 2), (1, 2, 6), (1, 2, 3, 6)]:
+        message = f"{list(g)} is not a subgroup of GF(7)^x"
+        with pytest.raises(StructuralError, match=re.escape(message)):
+            QuotientIdyll(7, frozenset(g))
 
 
 # -- value groups (min-plus): the tropical numbers of rank n -----------------

@@ -78,6 +78,13 @@ def test_nonroot_has_multiplicity_zero():
     assert not is_root(f, 1)
 
 
+def test_is_root_at_the_zero_point():
+    # over a whole idyll is_root reads eval_sum, whose constant term is c_0
+    assert is_root(parse_poly("x - x^2", S), 0)
+    assert not is_root(parse_poly("1 + x", S), 0)
+    assert is_root(parse_poly("3*x", finite_field(5)), 0)
+
+
 def test_foreign_point_rejected():
     with pytest.raises(ForeignElementError):
         multiplicity(SIGN_CUBIC, Fraction(1, 2))

@@ -6,9 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from idylls.algebra import UnsupportedOperationError, krasner, sign_idyll
-from idylls.extension import signed_tropical, tropical
-from idylls.mult import mult_closed_form, multiplicity
+from idylls.algebra import (
+    StructuralError,
+    UnsupportedOperationError,
+    finite_field,
+    krasner,
+    rational_field,
+    sign_idyll,
+)
+from idylls.extension import ExtElement, signed_tropical, tropical
+from idylls.mult import mult_closed_form, multiplicity, root_candidates
 from idylls.oracle import (
     DEMO_INTROS,
     DEMO_NAMES,
@@ -21,7 +28,13 @@ from idylls.oracle import (
     sign_division_witness,
     tropical_division_witness,
 )
-from idylls.poly import Polynomial, factor_check
+from idylls.poly import (
+    Polynomial,
+    factor_check,
+    monomial_substitute,
+    parse_poly,
+    rescale_quotient,
+)
 
 K = krasner()
 S = sign_idyll()
@@ -181,3 +194,124 @@ def test_tropical_witness_needs_trivial_units():
     f = Polynomial(TR, [TR.elem(1, 0), TR.elem(-1, 0)])
     with pytest.raises(UnsupportedOperationError):
         tropical_division_witness(f, TR.elem(1, 0))
+
+
+def test_tropical_witness_refuses_a_non_root():
+    # the initial form at each point is one monomial, so no quotient exists
+    for text, point in (("0 + 0*x", "1^1"), ("2 + 1*x + 0*x^2 + 0*x^3", "1^5")):
+        f = parse_poly(text, T)
+        a = T.parse_element(point)
+        message = f"{T.format_element(a)} is not a root"
+        with pytest.raises(StructuralError, match=message):
+            tropical_division_witness(f, a)
+
+
+def _least(levels):
+    """The least level, skipping the None of zero; None if there is none."""
+    return min((v for v in levels if v is not None), default=None)
+
+
+def _power(E, a, n):
+    """a^n for n in Z by repeated multiplication (negative n inverts a)."""
+    if n < 0:
+        a = E.inv(a)
+        n = -n
+    result = E.one
+    for _ in range(n):
+        result = E.mul(result, a)
+    return result
+
+
+def _two_staircase_witness(f, a):
+    """Reference: the two-staircase rule written out by hand, without the lift.
+
+    Substitute x -> a*x, then fill the quotient levels by two staircases on
+    the shifted levels w_i: running minima from the left up to the last
+    index achieving min(w), suffix minima from there on. Undoing the
+    substitution scales position j by a^(-j-1).
+    """
+    E = f.idyll
+    h = monomial_substitute(f, a)
+    n = h.degree
+    w = [E.valuation(h.coeff(i)) for i in range(n + 1)]
+    m = _least(w)
+    i1 = max(i for i in range(n + 1) if w[i] == m)
+    d = [None] * n
+    run = None
+    for i in range(0, min(i1, n)):
+        run = _least([run, w[i]])
+        d[i] = run
+    for i in range(i1, n):
+        d[i] = _least(w[i + 1 :])
+    unit = E.base.one
+    coeffs = []
+    for j in range(n):
+        if d[j] is None:
+            coeffs.append(ExtElement())
+        else:
+            coeffs.append(E.mul(_power(E, a, -(j + 1)), ExtElement(unit, d[j])))
+    return Polynomial(E, coeffs)
+
+
+def test_staircase_lift_equals_the_two_staircase_rule():
+    rng = random.Random(29)
+    for E in (T, tropical(2)):
+        points = 0
+        while points < 1000:
+            n = rng.randrange(1, 8)
+            coeffs = []
+            for i in range(n + 1):
+                if i < n and rng.random() < 0.25:
+                    coeffs.append(E.zero)
+                else:
+                    level = tuple(
+                        Fraction(rng.randrange(-4, 5), rng.choice([1, 2]))
+                        for _ in range(E.rank)
+                    )
+                    coeffs.append(E.elem(1, level))
+            f = Polynomial(E, coeffs)
+            for a in root_candidates(f):
+                if a.is_zero:
+                    continue
+                assert tropical_division_witness(f, a) == _two_staircase_witness(f, a)
+                points += 1
+
+
+def _witnessed_pair(rng, B, units):
+    """(f, a, g) with factor_check(f, a, g): f's coefficients drawn from the
+    sum sets g_{i-1} - a*g_i, over a whole idyll."""
+    n = rng.randrange(1, 5)
+    g = [rng.choice(units + [B.zero]) for _ in range(n - 1)] + [rng.choice(units)]
+    g = Polynomial(B, g)
+    a = rng.choice(units)
+    minus_a = B.mul(B.epsilon, a)
+    coeffs = []
+    for i in range(n + 1):
+        s = B.sum_set(g.coeff(i - 1), B.mul(minus_a, g.coeff(i)))
+        coeffs.append(rng.choice(sorted(s.core, key=B.sort_key)))
+    return Polynomial(B, coeffs), a, g
+
+
+def test_rescale_quotient_moves_a_division_from_a_to_a_over_c():
+    rng = random.Random(31)
+    Q = rational_field()
+    pools = {
+        S: [1, -1],
+        finite_field(7): list(range(1, 7)),
+        Q: [Fraction(k, d) for k in (-3, -2, -1, 1, 2, 3) for d in (1, 2)],
+        TR: [TR.elem(u, Fraction(k, 2)) for u in (1, -1) for k in range(-3, 4)],
+    }
+    for B, units in pools.items():
+        refuted = 0
+        for _ in range(100):
+            f, a, g = _witnessed_pair(rng, B, units)
+            assert factor_check(f, a, g)
+            other = Polynomial(B, [rng.choice(units) for _ in range(f.degree)])
+            c = rng.choice(units)
+            h = monomial_substitute(f, c)
+            b = B.mul(a, B.inv(c))
+            for q in (g, other):
+                moved = rescale_quotient(q, c)
+                assert factor_check(f, a, q) == factor_check(h, b, moved), (f, q)
+            refuted += not factor_check(f, a, other)
+        assert refuted > 10, B.name
