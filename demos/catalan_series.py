@@ -8,9 +8,11 @@ meromorphic inverse would have).
 
 The valuation -1 root is the interesting one computationally. Its only
 division witnesses carry a coefficient whose valuation sits strictly above
-the minimum of its defining sum, i.e. the witness lives in the tail of a
-sum set, where the dominant terms have already cancelled. A search through
-dominant terms alone misses it; the level pool used by divide_once finds it.
+the dominant (minimal) level of the degree it completes, i.e. the witness
+lives in the tail of a sum set, where the dominant terms have already
+cancelled. A search through dominant terms alone misses it; the level pool
+used by divide_once finds it. The demo prints, for each witness, which
+coefficients sit above the dominant level.
 """
 
 from idylls import (
@@ -41,14 +43,24 @@ def main() -> int:
     assert found == {"1^0": 1, "1^-1": 1}
 
     deep = TR.elem(1, -1)
-    dominant_only = divide_once(f, deep, tails="none")
-    full = divide_once(f, deep, tails="auto")
-    print(f"\nwitnesses at 1^-1 using dominant terms only: {len(dominant_only)}")
-    print(f"witnesses at 1^-1 with tail candidates:       {len(full)}")
-    assert dominant_only == [] and full
-    for g in full:
+    witnesses = divide_once(f, deep)
+    print(f"\nwitnesses at 1^-1: {len(witnesses)}")
+    assert witnesses
+    for g in witnesses:
         assert factor_check(f, deep, g)
         print(f"  quotient {g}")
+        above = []
+        for j, d in enumerate(g.coeffs):
+            # coefficient j completes degree j+1: f_(j+1) - d_j + a*d_(j+1)
+            terms = [f.coeff(j + 1), d, TR.mul(deep, g.coeff(j + 1))]
+            dominant = min(t.level for t in terms if not t.is_zero)
+            if not d.is_zero and d.level > dominant:
+                above.append(j)
+                print(
+                    f"    coefficient {j} ({TR.format_element(d)}) sits above "
+                    f"the dominant level {dominant[0]} of degree {j + 1}"
+                )
+        assert above, "every witness at 1^-1 needs a tail coefficient"
     return 0
 
 

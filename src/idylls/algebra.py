@@ -710,17 +710,19 @@ def padic_valuation(q, p: int) -> Optional[tuple]:
 
 # finite carriers up to this size are checked element by element
 EXHAUSTIVE_CARRIER = 16
+# null sums of up to this many terms are checked for ideal closure
+AXIOM_SUM_LEN = 4
 
 
-def check_idyll_axioms(B: Idyll, max_len: int = 4, seed: int = 0) -> list:
+def check_idyll_axioms(B: Idyll) -> list:
     """Verify the idyll axioms; returns a list of violation strings.
 
     Finite carriers of at most ``EXHAUSTIVE_CARRIER`` elements are checked
-    exhaustively (sums up to ``max_len``); larger and infinite carriers are
-    checked on a deterministic sample pool, which makes the run a sound
-    refutation but only a spot check of universals.
+    exhaustively (sums up to ``AXIOM_SUM_LEN`` terms); larger and infinite
+    carriers are checked on a sample pool drawn with seed 0, which makes the
+    run a sound refutation but only a spot check of universals.
     """
-    rng = random.Random(seed)
+    rng = random.Random(0)
     violations = []
     exhaustive = B.elements is not None and len(B.elements) <= EXHAUSTIVE_CARRIER
     pool = tuple(B.elements if exhaustive else B.sample_elements(rng))
@@ -782,9 +784,9 @@ def check_idyll_axioms(B: Idyll, max_len: int = 4, seed: int = 0) -> list:
         if B.is_null([a]):
             violations.append(f"singleton {B.format_element(a)} is null")
 
-    # ideal closure on sums up to max_len (unit scaling and additivity)
+    # ideal closure on sums up to AXIOM_SUM_LEN (unit scaling and additivity)
     null_sums = []
-    for length in range(1, max_len + 1):
+    for length in range(1, AXIOM_SUM_LEN + 1):
         for combo in itertools.combinations_with_replacement(units, length):
             if B.is_null(combo):
                 null_sums.append(combo)
@@ -800,7 +802,7 @@ def check_idyll_axioms(B: Idyll, max_len: int = 4, seed: int = 0) -> list:
                 break
     for s in null_sums:
         for t in null_sums:
-            if len(s) + len(t) > max_len + 2:
+            if len(s) + len(t) > AXIOM_SUM_LEN + 2:
                 continue
             if not B.is_null(list(s) + list(t)):
                 violations.append("sum of two null sums is not null")

@@ -194,7 +194,7 @@ def cmd_roots(args) -> int:
 def cmd_divide(args) -> int:
     B, f = _poly_and_idyll(args)
     a = B.parse_element(args.at)
-    quotients = divide_once(f, a, tails=args.tails)
+    quotients = divide_once(f, a)
     payload = {
         "poly": poly_json(f),
         "at": B.format_element(a),
@@ -380,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("divide", help="all one-step quotients at a point")
     common(sp, at=True)
-    sp.add_argument("--tails", choices=("auto", "none", "grid"), default="auto")
     sp.set_defaults(func=cmd_divide)
 
     sp = sub.add_parser("lift", help="lift a base division witness")

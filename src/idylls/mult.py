@@ -42,20 +42,11 @@ DEFAULT_SEARCH_CAP = 100_000
 
 
 class SearchCapExceeded(RuntimeError):
-    """The division search visited more states than the configured cap."""
-
-
-def _effective_cap(cap=None) -> int:
-    if cap is not None:
-        return cap
-    env = os.environ.get("IDYLL_SEARCH_CAP")
-    if env:
-        return int(env)
-    return DEFAULT_SEARCH_CAP
+    """A query spent more search states than its cap."""
 
 
 class _Budget:
-    """States left for one query; every division step of the query spends it."""
+    """States left for one query; every division step and sieve scan spends it."""
 
     __slots__ = ("remaining", "cap")
 
@@ -67,16 +58,19 @@ class _Budget:
         self.remaining -= amount
         if self.remaining < 0:
             raise SearchCapExceeded(
-                f"division search exceeded {self.cap} states; "
+                f"search exceeded {self.cap} states; "
                 "raise the cap or set IDYLL_SEARCH_CAP"
             )
 
 
 def _budget(cap) -> _Budget:
-    """The budget to spend: a caller's shared one, or a fresh one for cap."""
+    """A caller's shared budget, or a fresh one for cap (else the
+    IDYLL_SEARCH_CAP environment variable, else DEFAULT_SEARCH_CAP)."""
     if isinstance(cap, _Budget):
         return cap
-    return _Budget(_effective_cap(cap))
+    if cap is None:
+        cap = int(os.environ.get("IDYLL_SEARCH_CAP") or DEFAULT_SEARCH_CAP)
+    return _Budget(cap)
 
 
 @dataclass(frozen=True)
@@ -120,19 +114,19 @@ def is_root(f: Polynomial, a) -> bool:
     return bool(divide_once(f, a))
 
 
-def divide_once(f: Polynomial, a, tails: str = "auto", cap: int = None) -> list:
-    """All quotients g with factor_check(f, a, g).
+def divide_once(f: Polynomial, a, cap: int = None) -> list:
+    """Quotients g with factor_check(f, a, g), one sum set per degree.
 
-    Per-step choices range over the cores of the sum sets plus, where a sum
-    set has an infinite tail, a finite pool of tail candidates. tails="auto"
-    (the default) draws that pool from the shifted coefficient levels and
-    their midpoints, which suffices for every witness: a tail coefficient
-    that matters must eventually tie a coefficient level from below, and a
-    self-cancelling run only needs some level strictly between two coefficient
-    levels. tails="grid" uses the larger `quotient_level_grid` pool, shifted
-    alike; tails="none" disables tail branching (sound but incomplete). cap
-    bounds the search states of this call; `multiplicity` passes its own
-    budget instead, so that one cap bounds the whole chain search.
+    Each coefficient ranges over the core of its sum set plus, where that has
+    an infinite tail, the tail pool of `_tail_pool`. Without tails (finite
+    idylls, fields) this lists every quotient. Over a tropical extension any
+    coefficient above a tail bound gives another witness, so the list is a
+    finite subset; it is enough for the chain length, because a tail
+    coefficient that matters must eventually tie a coefficient level from
+    below, and a self-cancelling run only needs some level strictly between
+    two coefficient levels. The oracles in `idylls.oracle`, whose pool holds
+    every level offered here, cross-check it. cap bounds the search states of
+    this call; `multiplicity` passes its own budget for the whole chain.
     """
     B = f.idyll
     if not B.contains(a):
@@ -142,8 +136,6 @@ def divide_once(f: Polynomial, a, tails: str = "auto", cap: int = None) -> list:
     n = f.degree
     if n == 0:
         return []
-    if tails not in ("auto", "grid", "none"):
-        raise ValueError(f"unknown tails mode {tails!r}")
     budget = _budget(cap)
     pool = None
 
@@ -152,10 +144,8 @@ def divide_once(f: Polynomial, a, tails: str = "auto", cap: int = None) -> list:
         # strictly above the tail bound make elements
         nonlocal pool
         if pool is None:
-            pool = _tail_pool(f, a, tails)
+            pool = _tail_pool(f, a)
         levels, gamma, units = pool
-        if not levels:
-            return []
         shift = oag_scale(gamma, position + 1)
         bound = oag_add(above, shift)
         out = []
@@ -165,12 +155,10 @@ def divide_once(f: Polynomial, a, tails: str = "auto", cap: int = None) -> list:
         return out
 
     def choices(s: SumSet, position):
-        out = list(s.core)
-        if s.tail_above is not None:
-            for x in tail_candidates(position, s.tail_above):
-                if x not in s.core:
-                    out.append(x)
-        return out
+        # tail candidates sit strictly above every core level
+        if s.tail_above is None:
+            return s.core
+        return list(s.core) + tail_candidates(position, s.tail_above)
 
     results = []
 
@@ -190,25 +178,15 @@ def divide_once(f: Polynomial, a, tails: str = "auto", cap: int = None) -> list:
     return sorted(polys, key=lambda g: tuple(B.sort_key(c) for c in g.coeffs))
 
 
-def _with_midpoints(levels: list) -> list:
-    out = list(levels)
-    for x, y in zip(levels, levels[1:]):
-        out.append(oag_div(oag_add(x, y), 2))
-    return sorted(set(out))
-
-
-def _tail_pool(f: Polynomial, a, tails: str) -> tuple:
+def _tail_pool(f: Polynomial, a) -> tuple:
     """Tail candidates as (levels, gamma, units), levels ascending.
 
     Position j offers every unit at level t - (j+1)*gamma for each t in
-    levels, gamma the level of a. Both pools grow from the shifted support
-    levels w_i = v(c_i) + i*gamma: auto adds the midpoints of neighbouring
-    w's, grid is `quotient_level_grid`. Only sum sets over a tropical
-    extension have tails; other idylls, and tails="none", get an empty pool.
+    levels, gamma the level of a: the shifted support levels
+    w_i = v(c_i) + i*gamma and the midpoints of neighbouring w's. Only sum
+    sets over a tropical extension have tails, so f lives over one.
     """
     B = f.idyll
-    if tails == "none" or not isinstance(B, ExtensionDescriptor):
-        return [], None, None
     if B.base.elements is None:
         raise UnsupportedOperationError(
             "tail branching needs a finite unit group; "
@@ -219,18 +197,8 @@ def _tail_pool(f: Polynomial, a, tails: str) -> tuple:
     shifted = sorted(
         {oag_add(f.coeffs[i].level, oag_scale(gamma, i)) for i in f.support}
     )
-    pool = quotient_level_grid if tails == "grid" else _with_midpoints
-    return pool(shifted), gamma, units
-
-
-def quotient_level_grid(shifted: list) -> list:
-    """The grid pool of tail levels, in the shifted coordinates of the pool.
-
-    Each level is a shifted support level w plus a nonnegative difference of
-    two of them (position j offers it minus (j+1)*gamma); shifted ascends.
-    """
-    diffs = {oag_sub(w2, w1) for i, w1 in enumerate(shifted) for w2 in shifted[i:]}
-    return sorted({oag_add(w, d) for w in shifted for d in diffs})
+    mids = [oag_div(oag_add(x, y), 2) for x, y in zip(shifted, shifted[1:])]
+    return sorted(shifted + mids), gamma, units
 
 
 def multiplicity(f: Polynomial, a, cap: int = None) -> tuple:
@@ -249,7 +217,7 @@ def multiplicity(f: Polynomial, a, cap: int = None) -> tuple:
         quotients = tuple(f.shift_down(j) for j in range(1, k + 1))
         return k, FactorizationChain(f, a, quotients)
     budget = _budget(cap)
-    m, quotients = _longest_chain(f, lambda g: divide_once(g, a, "auto", budget), {})
+    m, quotients = _longest_chain(f, lambda g: divide_once(g, a, budget), {})
     return m, FactorizationChain(f, a, quotients)
 
 
@@ -348,8 +316,8 @@ def lift_factorization(f: Polynomial, a: ExtElement, g: Polynomial) -> Polynomia
     levels sit at level 0 with units matching P twisted by powers of u. The
     quotient of F at the point (1, 0) is then assembled in three zones:
     prescribed level-0 units from g moved to 1 by `rescale_quotient` across
-    the span of P, a left run solved upward from the constant term, interior
-    gaps and the right run solved downward from the top. All synthesized
+    the span of P, a left run solved upward from the constant term, and the
+    gaps above it, the right run last, each solved downward. All synthesized
     entries sit at strictly positive levels, so they never disturb the
     minimal layer.
     """
@@ -376,13 +344,13 @@ def lift_factorization(f: Polynomial, a: ExtElement, g: Polynomial) -> Polynomia
     zero_level = oag_zero(E.rank)
     r = ExtElement(base.one, g0)
     F = monomial_substitute(f, a).scale(E.inv(r))
-    level0 = [i for i in F.support if F.coeffs[i].level == zero_level]
-    i0, i1 = level0[0], level0[-1]
+    # the level-0 coefficients of F are those of P
+    i0, i1 = P.support[0], P.support[-1]
 
     # prescribed middle: g moved to the unit point, at level 0; a witness for
     # P is supported in [i0, i1), since no nonzero singleton is null
     gu = rescale_quotient(g, u)
-    d = [None] * n
+    d = [None] * (n + 1)
     for i in gu.support:
         d[i] = ExtElement(gu.coeffs[i], zero_level)
 
@@ -395,25 +363,20 @@ def lift_factorization(f: Polynomial, a: ExtElement, g: Polynomial) -> Polynomia
         prev = pick(E.third_summands(F.coeff(i), E.mul(E.epsilon, prev)))
         d[i] = prev
 
-    # interior gaps, solved downward from a zero seed
+    # gaps, each solved downward from a zero seed at its top; the last gap
+    # is the right run, seeded at index n (coefficient n of a quotient is 0)
     i = i0
-    while i < i1:
+    while i <= n:
         if d[i] is not None:
             i += 1
             continue
         q = i
-        while q + 1 < i1 and d[q + 1] is None:
+        while q < n and d[q + 1] is None:
             q += 1
         d[q] = EXT_ZERO
         for j in range(q, i, -1):
             d[j - 1] = pick(E.sum_set(F.coeff(j), d[j]))
         i = q + 1
-
-    # right run, solved downward from the leading coefficient
-    if i1 <= n - 1:
-        d[n - 1] = pick(E.sum_set(F.coeff(n), EXT_ZERO))
-        for j in range(n - 1, i1, -1):
-            d[j - 1] = pick(E.sum_set(F.coeff(j), d[j]))
 
     # undo the normalization: gt_j = r * a^(-j-1) * d_j
     gt = rescale_quotient(Polynomial(E, d), E.inv(a)).scale(r)
@@ -440,18 +403,18 @@ def _divisors(m: int) -> list:
     return sorted(set(out))
 
 
-def _rational_candidates(f: Polynomial) -> list:
+def _rational_candidates(f: Polynomial, budget: _Budget) -> list:
     k = f.support[0]
     coeffs = [f.coeffs[i] for i in range(k, f.degree + 1)]
     scale = math.lcm(*(c.denominator for c in coeffs if c != 0))
     ints = [int(c * scale) for c in coeffs]
-    lead = ints[-1]
-    const = ints[0]
-    cands = set()
-    for p in _divisors(const):
-        for q in _divisors(lead):
-            cands.add(Fraction(p, q))
-            cands.add(Fraction(-p, q))
+    divisors = []
+    for m in (ints[0], ints[-1]):
+        budget.spend(math.isqrt(abs(m)))  # paid before the trial divisions
+        divisors.append(_divisors(m))
+    ps, qs = divisors
+    budget.spend(len(ps) * len(qs))  # and before the pairs
+    cands = {Fraction(sign * p, q) for p in ps for q in qs for sign in (1, -1)}
     if k > 0:
         cands.add(Fraction(0))
     return sorted(cands)
@@ -469,14 +432,15 @@ def _extension_candidate_levels(f: Polynomial) -> list:
     return levels[::-1]
 
 
-def root_candidates(f: Polynomial):
+def root_candidates(f: Polynomial, cap: int = None):
     """A finite superset of the roots of f, ready for multiplicity testing.
 
     Finite idylls offer their carrier itself, uncopied (GF(p) a lazy range,
     so a search budget can end a query over a huge field). Extensions take
     every level at which the minimum of v(c_i) + i*level is attained twice,
     paired with every base unit. The rational field uses the classical
-    integer root sieve on cleared denominators.
+    integer root sieve on cleared denominators, which spends cap (or
+    IDYLL_SEARCH_CAP): one state per trial division and per candidate pair.
     """
     B = f.idyll
     if f.is_zero:
@@ -496,7 +460,7 @@ def root_candidates(f: Polynomial):
             cands.append(EXT_ZERO)
         return cands
     if isinstance(B, RationalFieldIdyll):
-        return _rational_candidates(f)
+        return _rational_candidates(f, _budget(cap))
     if B.elements is not None:
         return B.elements
     raise UnsupportedOperationError(f"cannot enumerate candidates over {B.name}")
@@ -506,12 +470,12 @@ def root_multiplicities(f: Polynomial, cap: int = None) -> list:
     """Every root of f with its search multiplicity: [(a, m)], m > 0.
 
     Candidates come from `root_candidates`, in its order. cap (or
-    IDYLL_SEARCH_CAP) bounds the search states of the whole query, summed
-    over every candidate.
+    IDYLL_SEARCH_CAP) bounds the search states of the whole query: the
+    candidate sieve and every candidate's chain search together.
     """
     budget = _budget(cap)
     found = []
-    for a in root_candidates(f):
+    for a in root_candidates(f, budget):
         m, _ = multiplicity(f, a, cap=budget)
         if m > 0:
             found.append((a, m))

@@ -1,12 +1,13 @@
 """Reference oracles: brute force at desk scale, no structure theory.
 
-`exhaustive_multiplicity` enumerates every candidate quotient over a finite
-carrier straight from the definition of a factorization witness, so it can
-confirm or refute the search engine and the closed forms independently.
-`bounded_extension_oracle` plays the same role over an extension, where the
-carrier is infinite, by drawing quotient coefficients from a finite level
-grid that provably contains all witness levels. The one-step witness rules
-move base rules by substitution; the tropical staircase lifts the span rule.
+`exhaustive_multiplicity`, `exhaustive_root_set` and
+`bounded_extension_oracle` share one core that reads the definition of a
+witness: it picks quotient coefficients from the top degree down out of a
+finite pool per position, and keeps a choice only when the degree it
+completes, f_i + eps*d_(i-1) + a*d_i, is null. It never asks for a sum set.
+The pool is the whole carrier of a finite idyll; over an extension it holds
+every level `divide_once` can offer. The one-step witness rules move base
+rules by substitution; the tropical staircase lifts the span rule.
 
 The pinned corpus is one table of the paper's worked examples: named
 instances (an idyll name and a polynomial literal) and the checks on them,
@@ -15,17 +16,17 @@ read by `run_pinned_corpus` (`idylls verify`) and by `idylls demo <group>`.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
+    ForeignElementError,
     StructuralError,
     UnsupportedOperationError,
     quotient_hyperfield,
     rational_field,
 )
-from .extension import ExtElement
+from .extension import ExtElement, ExtensionDescriptor
 from .mult import (
     FactorizationChain,
     SearchCapExceeded,
@@ -46,7 +47,7 @@ from .newton import (
     initial_form_split,
     newton_polygon,
 )
-from .oag import parse_oag_value
+from .oag import oag_add, oag_div, oag_scale, oag_sub, oag_zero, parse_oag_value
 from .poly import (
     Polynomial,
     factor_check,
@@ -59,79 +60,111 @@ from .poly import (
 )
 
 
-def exhaustive_multiplicity(f: Polynomial, a, memo: dict = None) -> int:
-    """Multiplicity by literal witness enumeration over a finite carrier.
+def quotient_level_grid(shifted: list) -> list:
+    """Pool levels in shifted coordinates, ascending: each shifted support
+    level plus a nonnegative difference of two of them, and the midpoint of
+    any two (the engine's pool is the levels and their neighbours' midpoints).
+    """
+    pairs = [(v, w) for i, v in enumerate(shifted) for w in shifted[i:]]
+    grid = {oag_add(u, oag_sub(w, v)) for u in shifted for v, w in pairs}
+    return sorted(grid | {oag_div(oag_add(v, w), 2) for v, w in pairs})
 
-    Tries every coefficient tuple as a quotient and recurses on the ones
-    that pass factor_check. Pass a shared memo dict when sweeping many
-    polynomials over the same idyll; it keeps one table per point.
+
+def _carrier(B):
+    if B.elements is None:
+        raise UnsupportedOperationError(f"brute force needs a finite carrier: {B.name}")
+    return B.elements
+
+
+def _pools(f: Polynomial, a) -> list:
+    """The choices for each quotient coefficient d_0, ..., d_(n-1) of f at a.
+
+    A finite idyll offers its carrier. An extension offers zero and every
+    unit at level t - (j+1)*gamma for d_j, gamma the level of a (0 at the
+    zero point), for each t in `quotient_level_grid` of the shifted support
+    levels v(c_i) + i*gamma.
     """
     B = f.idyll
-    if B.elements is None:
-        raise UnsupportedOperationError(
-            f"exhaustive search needs a finite carrier, not {B.name}"
-        )
+    if not isinstance(B, ExtensionDescriptor):
+        return [_carrier(B)] * f.degree
+    units = [u for u in _carrier(B.base) if not B.base.is_zero(u)]
+    gamma = a.level or oag_zero(B.rank)  # the zero point shifts nothing
+    grid = quotient_level_grid(
+        sorted({oag_add(f.coeffs[i].level, oag_scale(gamma, i)) for i in f.support})
+    )
+    pools = []
+    for j in range(f.degree):
+        shift = oag_scale(gamma, j + 1)
+        levels = [oag_sub(t, shift) for t in grid]
+        pools.append([B.zero] + [ExtElement(u, t) for t in levels for u in units])
+    return pools
+
+
+def _witnesses(f: Polynomial, a, budget) -> list:
+    """Every quotient of f at a drawn from the pools, top coefficient first.
+
+    Each partial quotient whose completed degrees are all null spends a state.
+    """
+    B = f.idyll
+    if f.degree < 1:
+        return []
+    offers = [(B.zero,)] + _pools(f, a)  # offers[i]: the choices for d_(i-1)
+    partial = [()]  # suffixes (d_i, ..., d_(n-1)); d_n is zero
+    for i in range(f.degree, -1, -1):
+        c = f.coeff(i)
+        grown = []
+        for d in partial:
+            budget.spend()
+            top = B.mul(a, d[0]) if d else B.zero
+            for x in offers[i]:
+                if B.is_null((c, B.mul(B.epsilon, x), top)):
+                    grown.append((x,) + d)
+        partial = grown
+    return [Polynomial(B, d[1:]) for d in partial]
+
+
+def _oracle_chain(f: Polynomial, a, budget, memo: dict) -> tuple:
+    """(length, quotients) of a longest chain of pool witnesses at a."""
+    if not f.idyll.contains(a):
+        raise ForeignElementError(f"{a!r} is not an element of {f.idyll.name}")
+    return _longest_chain(f, lambda g: _witnesses(g, a, budget), memo)
+
+
+def exhaustive_multiplicity(f: Polynomial, a, memo: dict = None) -> int:
+    """Multiplicity by witness enumeration over a finite carrier.
+
+    Pass a shared memo dict when sweeping many polynomials over the same
+    idyll; it keeps one table per point. The search budget bounds one call.
+    """
+    _carrier(f.idyll)
     if f.is_zero:
         raise StructuralError("the zero polynomial has no multiplicity")
     if memo is None:
         memo = {}
-
-    def quotients_of(poly):
-        if poly.degree < 1:
-            return []
-        candidates = (
-            Polynomial(B, coeffs)
-            for coeffs in itertools.product(B.elements, repeat=poly.degree)
-        )
-        return [g for g in candidates if factor_check(poly, a, g)]
-
-    return _longest_chain(f, quotients_of, memo.setdefault(a, {}))[0]
+    return _oracle_chain(f, a, _budget(None), memo.setdefault(a, {}))[0]
 
 
 def exhaustive_root_set(f: Polynomial) -> set:
     """All carrier elements admitting at least one factorization witness."""
-    B = f.idyll
-    if B.elements is None:
-        raise UnsupportedOperationError(
-            f"exhaustive search needs a finite carrier, not {B.name}"
-        )
+    carrier = _carrier(f.idyll)
     if f.is_zero:
-        return set(B.elements)
-    n = f.degree
-    roots = set()
-    for a in B.elements:
-        if n == 0:
-            continue
-        found = False
-        for coeffs in itertools.product(B.elements, repeat=n):
-            if factor_check(f, a, Polynomial(B, coeffs)):
-                found = True
-                break
-        if found:
-            roots.add(a)
-    return roots
+        return set(carrier)
+    budget = _budget(None)
+    return {a for a in carrier if _oracle_chain(f, a, budget, {})[0]}
 
 
 def bounded_extension_oracle(f: Polynomial, a: ExtElement, cap: int = None):
-    """(count, chain, conclusive): multiplicity with grid-sampled tails.
+    """(count, chain, conclusive): multiplicity over the oracle's pools.
 
-    The per-step choices include every base unit at every level of the
-    quotient grid, which covers all witness coefficients, so a completed
-    search is a true upper bound as well as a lower one. A capped-out search
-    reports conclusive=False with count -1. cap bounds the states of the
-    whole search, as in `multiplicity`.
+    The pools hold every coefficient `divide_once` can offer and every
+    quotient passes the definition's null test, so the count lies between
+    the engine's and the true multiplicity. A search that runs out of cap
+    (which bounds the whole search) reports (-1, None, False).
     """
-    B = f.idyll
     if f.is_zero:
         raise StructuralError("the zero polynomial has no multiplicity")
-    if a.is_zero:
-        m, chain = multiplicity(f, a)
-        return m, chain, True
-    budget = _budget(cap)
     try:
-        m, quotients = _longest_chain(
-            f, lambda g: divide_once(g, a, "grid", budget), {}
-        )
+        m, quotients = _oracle_chain(f, a, _budget(cap), {})
     except SearchCapExceeded:
         return -1, None, False
     return m, FactorizationChain(f, a, quotients), True

@@ -345,7 +345,7 @@ def test_axiom_harness_catalog():
         tropical(1), tropical(2),
     ]
     for B in catalog:
-        assert check_idyll_axioms(B, max_len=4) == [], B.name
+        assert check_idyll_axioms(B) == [], B.name
     extensions = [
         TR, T, S2,
         trop_extension(quotient_hyperfield(5, (1, 4)), 1),

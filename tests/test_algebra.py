@@ -488,7 +488,7 @@ CATALOG = [K, S, F, P, Q, F5, quotient_hyperfield(5, (1, 4)), tropical(1), tropi
 
 @pytest.mark.parametrize("B", CATALOG, ids=lambda b: b.name)
 def test_axiom_harness_passes(B):
-    assert check_idyll_axioms(B, max_len=4) == []
+    assert check_idyll_axioms(B) == []
 
 
 def test_axiom_harness_samples_large_finite_carriers(monkeypatch):

@@ -64,20 +64,18 @@ RANK_TWO = "(2,0) + (1,1)*x + (0,0)*x^2 + (0,1)*x^3"
         ["roots", "--poly", RANK_ONE],
         ["mult", "--poly", RANK_ONE, "--at", "1", "--engine", "both", "--certificate"],
         ["divide", "--poly", RANK_ONE, "--at", "1"],
-        ["divide", "--poly", RANK_ONE, "--at", "1", "--tails", "grid"],
         ["initial-form", "--poly", RANK_ONE, "--at", "1"],
         ["lift", "--poly", RANK_ONE, "--at", "1", "--witness", "1 + x"],
         ["roots", "--poly", RANK_TWO, "--rank", "2"],
         ["mult", "--poly", RANK_TWO, "--rank", "2", "--at", "(1,0)", "--engine", "both"],
         ["divide", "--poly", RANK_TWO, "--rank", "2", "--at", "(1,0)"],
-        ["divide", "--poly", RANK_TWO, "--rank", "2", "--at", "(1,0)", "--tails", "grid"],
         ["initial-form", "--poly", RANK_TWO, "--rank", "2", "--at", "(1,0)"],
         ["lift", "--poly", RANK_TWO, "--rank", "2", "--at", "(1,0)", "--witness", "1 + x"],
     ],
     ids=[
         f"{command}-rank{rank}"
         for rank in (1, 2)
-        for command in ("roots", "mult", "divide", "divide-grid", "initial-form", "lift")
+        for command in ("roots", "mult", "divide", "initial-form", "lift")
     ],
 )
 def test_oag_is_a_spelling_of_trop(argv, capsys):
@@ -91,12 +89,18 @@ def test_oag_is_a_spelling_of_trop(argv, capsys):
 
 def test_oag_grid_division_finds_the_tail_quotient(capsys):
     rc = main(
-        ["divide", "--idyll", "oag", "--poly", "0 + 0*x + 1*x^2", "--at", "-1",
-         "--tails", "grid"]
+        ["divide", "--idyll", "oag", "--poly", "0 + 0*x + 1*x^2", "--at", "-1"]
     )
     out = capsys.readouterr().out
     assert rc == 0
     assert out.splitlines()[1:] == ["  1 + 1*x"]
+
+
+def test_divide_has_no_tails_option(capsys):
+    rc = main(["divide", "--idyll", "trop", "--poly", RANK_ONE, "--at", "1",
+               "--tails", "grid"])
+    assert rc == 2
+    assert "--tails" in capsys.readouterr().err
 
 
 def test_unknown_idyll_name():

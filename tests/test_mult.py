@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from idylls import mult
 from idylls.algebra import (
     ForeignElementError,
     StructuralError,
@@ -33,7 +34,7 @@ from idylls.mult import (
 )
 from idylls.newton import initial_form_at
 from idylls.oag import oag
-from idylls.oracle import exhaustive_multiplicity
+from idylls.oracle import bounded_extension_oracle, exhaustive_multiplicity
 from idylls.poly import Polynomial, factor_check, parse_idyll_name, parse_poly
 
 K = krasner()
@@ -119,8 +120,7 @@ CATALAN = Polynomial(TR, [TR.elem(1, 0), TR.elem(-1, 0), TR.elem(1, 1)])
 
 def test_catalan_needs_a_tail_choice():
     a = TR.elem(1, -1)
-    assert divide_once(CATALAN, a, tails="none") == []
-    qs = divide_once(CATALAN, a)  # default branches into tails
+    qs = divide_once(CATALAN, a)  # branches into tails
     assert qs
     expected = Polynomial(TR, [TR.elem(-1, 1), TR.elem(1, 1)])
     assert expected in qs
@@ -137,7 +137,6 @@ def test_catalan_at_level_zero():
 def test_tail_witness_that_defeats_both_sweep_directions():
     f = Polynomial(T, [T.elem(1, 1), T.elem(1, 0), T.elem(1, 0), T.elem(1, 1)])
     a = T.elem(1, 0)
-    assert divide_once(f, a, tails="none") == []
     qs = divide_once(f, a)
     witness = Polynomial(T, [T.elem(1, 1), T.elem(1, 0), T.elem(1, 1)])
     assert witness in qs
@@ -145,6 +144,7 @@ def test_tail_witness_that_defeats_both_sweep_directions():
 
 
 def test_grid_tails_agree_with_auto_on_small_instances():
+    # the engine's root verdict against the brute-force oracle's
     rng = random.Random(2)
     for _ in range(60):
         coeffs = []
@@ -158,9 +158,9 @@ def test_grid_tails_agree_with_auto_on_small_instances():
         if f.degree < 1:
             continue
         a = TR.elem(rng.choice([1, -1]), rng.randrange(-2, 3))
-        auto = bool(divide_once(f, a))
-        grid = bool(divide_once(f, a, tails="grid"))
-        assert auto == grid, (f, TR.format_element(a))
+        count, _, conclusive = bounded_extension_oracle(f, a)
+        assert conclusive
+        assert bool(divide_once(f, a)) == (count > 0), (f, TR.format_element(a))
 
 
 # -- closed-form dispatch ----------------------------------------------------------
@@ -415,6 +415,28 @@ def test_rational_candidates_from_divisor_sieve():
     assert Fraction(-1, 2) in cands
     roots = [a for a in cands if is_root(f, a)]
     assert set(roots) == {Fraction(3), Fraction(-1, 2)}
+
+
+def test_rational_sieve_spends_the_budget_before_scanning(monkeypatch):
+    # 2x^2 - 5x - 3: isqrt(3) + isqrt(2) trial divisions, 2 * 2 pairs
+    g = Polynomial(Q, [Fraction(-3), Fraction(-5), Fraction(2)])
+    with pytest.raises(SearchCapExceeded):
+        root_candidates(g, cap=5)
+    assert root_candidates(g, cap=6) == root_candidates(g)
+    # the constant's divisor scan alone would take isqrt(10^29) steps
+    scanned = []
+
+    def divisors(m):
+        scanned.append(m)
+        return [1]
+
+    monkeypatch.setattr(mult, "_divisors", divisors)
+    f = parse_poly("100000000000000000000000000006 - x + x^2", Q)
+    with pytest.raises(SearchCapExceeded):
+        root_candidates(f, cap=1000)
+    with pytest.raises(SearchCapExceeded):
+        root_multiplicities(f, cap=1000)
+    assert scanned == []
 
 
 def test_finite_carrier_candidates_are_everything():

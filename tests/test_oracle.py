@@ -9,18 +9,29 @@ import pytest
 from idylls.algebra import (
     StructuralError,
     UnsupportedOperationError,
+    f1pm,
     finite_field,
     krasner,
+    quotient_hyperfield,
     rational_field,
     sign_idyll,
 )
 from idylls.extension import ExtElement, signed_tropical, tropical
-from idylls.mult import mult_closed_form, multiplicity, root_candidates
+from idylls.mult import (
+    _longest_chain,
+    _tail_pool,
+    divide_once,
+    mult_closed_form,
+    multiplicity,
+    root_candidates,
+)
+from idylls.oag import oag_scale, oag_sub
 from idylls.oracle import (
     DEMO_INTROS,
     DEMO_NAMES,
     PINNED_CHECKS,
     OracleReport,
+    _pools,
     bounded_extension_oracle,
     exhaustive_multiplicity,
     exhaustive_root_set,
@@ -109,6 +120,14 @@ def test_bounded_oracle_conclusive_agreement():
             assert chain.verify()
 
 
+def test_bounded_oracle_at_the_zero_point():
+    # x^2 times a linear factor; the pool at zero is unshifted
+    f = Polynomial(TR, [TR.zero, TR.zero, TR.elem(1, 2), TR.elem(-1, -1)])
+    count, chain, conclusive = bounded_extension_oracle(f, TR.zero)
+    assert conclusive and count == 2 == multiplicity(f, TR.zero)[0]
+    assert chain.verify()
+
+
 def test_bounded_oracle_reports_inconclusive_on_tiny_cap():
     f = Polynomial(TR, [TR.elem(1, 0), TR.elem(-1, 0), TR.elem(1, 1)])
     count, chain, conclusive = bounded_extension_oracle(f, TR.elem(1, -1), cap=2)
@@ -116,11 +135,77 @@ def test_bounded_oracle_reports_inconclusive_on_tiny_cap():
 
 
 def test_bounded_oracle_cap_bounds_the_whole_search():
-    # no single division step needs more than 11 states; the search needs 32
+    # no single division step needs more than 12 states; the search needs 39
     f = Polynomial(T, [T.elem(1, 0)] * 5)
     assert bounded_extension_oracle(f, T.elem(1, 0), cap=20) == (-1, None, False)
-    count, chain, conclusive = bounded_extension_oracle(f, T.elem(1, 0), cap=32)
+    assert bounded_extension_oracle(f, T.elem(1, 0), cap=38) == (-1, None, False)
+    count, chain, conclusive = bounded_extension_oracle(f, T.elem(1, 0), cap=39)
     assert conclusive and count == 4 and chain.verify()
+
+
+def _product_multiplicity(f, a, memo):
+    """Multiplicity by trying every coefficient tuple with factor_check."""
+    B = f.idyll
+
+    def quotients_of(poly):
+        if poly.degree < 1:
+            return []
+        candidates = (
+            Polynomial(B, coeffs)
+            for coeffs in itertools.product(B.elements, repeat=poly.degree)
+        )
+        return [g for g in candidates if factor_check(poly, a, g)]
+
+    return _longest_chain(f, quotients_of, memo.setdefault(a, {}))[0]
+
+
+@pytest.mark.parametrize(
+    "B", [K, S, f1pm(), finite_field(5), quotient_hyperfield(5, (1, 4))],
+    ids=lambda B: B.name,
+)
+def test_oracle_equals_product_enumeration_up_to_degree_three(B):
+    reference, memo = {}, {}
+    for coeffs in itertools.product(B.elements, repeat=4):
+        f = Polynomial(B, coeffs)
+        if f.is_zero:
+            continue
+        mults = {a: _product_multiplicity(f, a, reference) for a in B.elements}
+        for a, m in mults.items():
+            assert exhaustive_multiplicity(f, a, memo) == m, (str(f), a)
+        assert exhaustive_root_set(f) == {a for a, m in mults.items() if m}, str(f)
+
+
+def _rand_ext_poly(rng, E):
+    units = [u for u in E.base.elements if not E.base.is_zero(u)]
+    n = rng.randrange(1, 6)
+    coeffs = [
+        E.zero if i < n and rng.random() < 0.25 else E.elem(
+            rng.choice(units),
+            tuple(Fraction(rng.randrange(-4, 5), rng.choice([1, 2])) for _ in range(E.rank)),
+        )
+        for i in range(n + 1)
+    ]
+    return Polynomial(E, coeffs)
+
+
+@pytest.mark.parametrize("B", [T, TR, tropical(2), signed_tropical(2)], ids=lambda B: B.name)
+def test_oracle_pool_holds_every_engine_offer(B):
+    # at the root candidates and one point off every slope
+    rng = random.Random(10)
+    for _ in range(60):
+        f = _rand_ext_poly(rng, B)
+        for a in root_candidates(f)[:4] + [B.elem(1, (Fraction(1, 3),) * B.rank)]:
+            if a.is_zero:
+                continue
+            pools = [set(p) for p in _pools(f, a)]
+            levels, gamma, units = _tail_pool(f, a)
+            for j, pool in enumerate(pools):
+                shift = oag_scale(gamma, j + 1)
+                offered = {ExtElement(u, oag_sub(t, shift)) for t in levels for u in units}
+                assert offered <= pool, (str(f), j)
+            for g in divide_once(f, a):
+                for j, c in enumerate(g.coeffs):
+                    assert c in pools[j], (str(f), str(g), j)
 
 
 # -- the structured sign quotient -------------------------------------------------
