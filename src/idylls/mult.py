@@ -117,65 +117,55 @@ def is_root(f: Polynomial, a) -> bool:
 def divide_once(f: Polynomial, a, cap: int = None) -> list:
     """Quotients g with factor_check(f, a, g), one sum set per degree.
 
-    Each coefficient ranges over the core of its sum set plus, where that has
-    an infinite tail, the tail pool of `_tail_pool`. Without tails (finite
-    idylls, fields) this lists every quotient. Over a tropical extension any
-    coefficient above a tail bound gives another witness, so the list is a
-    finite subset; it is enough for the chain length, because a tail
-    coefficient that matters must eventually tie a coefficient level from
-    below, and a self-cancelling run only needs some level strictly between
-    two coefficient levels. The oracles in `idylls.oracle`, whose pool holds
-    every level offered here, cross-check it. cap bounds the search states of
-    this call; `multiplicity` passes its own budget for the whole chain.
+    Partial quotients grow from the top degree down: d_(i-1) ranges over the
+    core of the sum set f_i + a*d_i plus, where that has an infinite tail,
+    the tail pool of `_tail_pool`; a completed quotient is kept when
+    f_0 + a*d_0 is null. Without tails (finite idylls, fields) this lists
+    every quotient. Over a tropical extension any coefficient above a tail
+    bound gives another witness, so the list is a finite subset; it is
+    enough for the chain length, because a tail coefficient that matters
+    must eventually tie a coefficient level from below, and a
+    self-cancelling run only needs some level strictly between two
+    coefficient levels. The oracles in `idylls.oracle`, whose pool holds
+    every level offered here, cross-check it. Each partial quotient, a
+    completed one included, spends a state of cap; `multiplicity` passes
+    its own budget for the whole chain.
     """
     B = f.idyll
     if not B.contains(a):
         raise ForeignElementError(f"{a!r} is not an element of {B.name}")
     if f.is_zero:
         return [f]
-    n = f.degree
-    if n == 0:
+    if f.degree == 0:
         return []
     budget = _budget(cap)
     pool = None
-
-    def tail_candidates(position, above):
-        # the pool offers level t at position j as t - shift; only levels
-        # strictly above the tail bound make elements
-        nonlocal pool
-        if pool is None:
-            pool = _tail_pool(f, a)
-        levels, gamma, units = pool
-        shift = oag_scale(gamma, position + 1)
-        bound = oag_add(above, shift)
-        out = []
-        for t in levels[bisect_right(levels, bound) :]:
-            t = oag_sub(t, shift)
-            out += [ExtElement(u, t) for u in units]
-        return out
-
-    def choices(s: SumSet, position):
-        # tail candidates sit strictly above every core level
-        if s.tail_above is None:
-            return s.core
-        return list(s.core) + tail_candidates(position, s.tail_above)
-
-    results = []
-
-    def descend(i, d_i, suffix):
-        budget.spend()
-        if i == 0:
-            if B.is_null((f.coeff(0), B.mul(a, d_i))):
-                results.append(suffix)
-            return
-        for d_prev in choices(B.sum_set(f.coeff(i), B.mul(a, d_i)), i - 1):
-            descend(i - 1, d_prev, (d_prev,) + suffix)
-
-    for d_top in choices(B.sum_set(f.coeff(n), B.zero), n - 1):
-        descend(n - 1, d_top, (d_top,))
-
-    polys = {Polynomial(B, coeffs) for coeffs in results}
-    return sorted(polys, key=lambda g: tuple(B.sort_key(c) for c in g.coeffs))
+    partial = [()]  # suffixes (d_i, ..., d_(n-1)); d_n is zero
+    for i in range(f.degree, 0, -1):
+        grown = []
+        for d in partial:
+            s = B.sum_set(f.coeff(i), B.mul(a, d[0]) if d else B.zero)
+            offers = list(s.core)
+            if s.tail_above is not None:
+                # the pool offers level t for d_(i-1) as t - i*gamma, for t
+                # strictly above the tail bound (so above every core level)
+                if pool is None:
+                    pool = _tail_pool(f, a)
+                levels, gamma, units = pool
+                shift = oag_scale(gamma, i)
+                above = bisect_right(levels, oag_add(s.tail_above, shift))
+                tail = [oag_sub(t, shift) for t in levels[above:]]
+                offers += [ExtElement(u, t) for t in tail for u in units]
+            budget.spend(len(offers))
+            grown += [(x,) + d for x in offers]
+        partial = grown
+    # sort keys are one-to-one, so keying by them also drops repeated tuples
+    found = {
+        tuple(map(B.sort_key, d)): d
+        for d in partial
+        if B.is_null((f.coeff(0), B.mul(a, d[0])))
+    }
+    return [Polynomial(B, found[key]) for key in sorted(found)]
 
 
 def _tail_pool(f: Polynomial, a) -> tuple:

@@ -207,11 +207,6 @@ def initial_form_rounds(f: Polynomial, gamma) -> list:
         E = E2
 
 
-def initial_form_recursive(f: Polynomial, gamma) -> Polynomial:
-    """The base-idyll polynomial reached after all projection rounds."""
-    return initial_form_rounds(f, gamma)[-1]
-
-
 # ---------------------------------------------------------------------------
 # rendering
 

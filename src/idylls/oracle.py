@@ -42,7 +42,6 @@ from .mult import (
 )
 from .newton import (
     initial_form_at,
-    initial_form_recursive,
     initial_form_rounds,
     initial_form_split,
     newton_polygon,
@@ -103,7 +102,9 @@ def _pools(f: Polynomial, a) -> list:
 def _witnesses(f: Polynomial, a, budget) -> list:
     """Every quotient of f at a drawn from the pools, top coefficient first.
 
-    Each partial quotient whose completed degrees are all null spends a state.
+    Each partial quotient whose completed degrees are all null spends one
+    state per offer it tests, before testing them, so the budget bounds the
+    null tests.
     """
     B = f.idyll
     if f.degree < 1:
@@ -114,7 +115,7 @@ def _witnesses(f: Polynomial, a, budget) -> list:
         c = f.coeff(i)
         grown = []
         for d in partial:
-            budget.spend()
+            budget.spend(len(offers[i]))
             top = B.mul(a, d[0]) if d else B.zero
             for x in offers[i]:
                 if B.is_null((c, B.mul(B.epsilon, x), top)):
@@ -354,7 +355,7 @@ _QUERIES = {
         initial_form_split(f, parse_oag_value(g))[0].support
     ),
     "first round": lambda f, g: initial_form_rounds(f, parse_oag_value(g))[0].support,
-    "final round": lambda f, g: initial_form_recursive(f, parse_oag_value(g)).support,
+    "final round": lambda f, g: initial_form_rounds(f, parse_oag_value(g))[-1].support,
     "degree bound": degree_bound_check,
     "is_root": _is_root,
     "divides": lambda f, a: bool(divide_once(f, _at(f, a))),

@@ -1,5 +1,6 @@
 """The multiplicity search engine, closed forms, and the lifting pipeline."""
 
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -404,6 +405,28 @@ def test_degree_bound_cap_bounds_the_whole_check():
     assert degree_bound_check(f, cap=159) == (5, 5, True)
 
 
+def test_queries_leave_no_cyclic_garbage():
+    # a query frees its partial quotients, tail pool and memo as it returns,
+    # so nothing waits for the cyclic collector
+    f = Polynomial(T, [T.elem(1, 0)] * 5)
+    g = parse_poly("1 - x + 1^1*x^2", TR)
+    a = T.elem(1, 0)
+    batches = (
+        lambda: multiplicity(f, a),
+        lambda: divide_once(f, a),
+        lambda: degree_bound_check(g),
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        for query in batches:
+            for _ in range(100):
+                query()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 # -- root candidates ------------------------------------------------------------
 
 
@@ -474,6 +497,24 @@ def test_degree_bound_strict_for_rootless_polys():
     f = Polynomial(Q, [Fraction(1), Fraction(0), Fraction(1)])  # x^2 + 1
     total, deg, ok = degree_bound_check(f)
     assert total == 0 and deg == 2 and ok
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("quot:GF(5)/{1,4}", "[1] + [1]*x^2"),
+        ("quot:GF(7)/{1,2,4}", "[1] + [1]*x + [1]*x^2"),
+        ("quot:GF(11)/{1,3,4,5,9}", "[1] + [1]*x + [1]*x^2"),
+    ],
+)
+def test_degree_bound_fails_over_non_stringent_quotients(name, text):
+    # a quadratic with two double roots: the bound needs stringency
+    f = parse_poly(text, parse_idyll_name(name))
+    assert degree_bound_check(f) == (4, 2, False)
+    roots = root_multiplicities(f)
+    assert [m for _, m in roots] == [2, 2]
+    for a, m in roots:
+        assert exhaustive_multiplicity(f, a) == m
 
 
 # -- lifting ----------------------------------------------------------------------

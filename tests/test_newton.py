@@ -13,7 +13,6 @@ from idylls.extension import ExtElement, signed_tropical, trop_extension, tropic
 from idylls.mult import root_candidates
 from idylls.newton import (
     initial_form_at,
-    initial_form_recursive,
     initial_form_rounds,
     initial_form_split,
     newton_polygon,
@@ -208,8 +207,6 @@ def test_rounds_agree_with_single_lex_argmin():
             argmin = tuple(
                 sorted(i for i, v in shifted.items() if oag_cmp(v, best) == 0)
             )
-            final = initial_form_recursive(f, gamma)
-            assert final.support == argmin
             rounds = initial_form_rounds(f, gamma)
             supports = [r.support for r in rounds]
             # each round refines the previous one

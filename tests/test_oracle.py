@@ -135,12 +135,25 @@ def test_bounded_oracle_reports_inconclusive_on_tiny_cap():
 
 
 def test_bounded_oracle_cap_bounds_the_whole_search():
-    # no single division step needs more than 12 states; the search needs 39
+    # a state per tested offer: no single division step needs more than 19
+    # states; the search needs 62
     f = Polynomial(T, [T.elem(1, 0)] * 5)
     assert bounded_extension_oracle(f, T.elem(1, 0), cap=20) == (-1, None, False)
-    assert bounded_extension_oracle(f, T.elem(1, 0), cap=38) == (-1, None, False)
-    count, chain, conclusive = bounded_extension_oracle(f, T.elem(1, 0), cap=39)
+    assert bounded_extension_oracle(f, T.elem(1, 0), cap=61) == (-1, None, False)
+    count, chain, conclusive = bounded_extension_oracle(f, T.elem(1, 0), cap=62)
     assert conclusive and count == 4 and chain.verify()
+
+
+def test_bounded_oracle_cap_bounds_its_null_tests(monkeypatch):
+    # each tested offer is paid for before its null test runs
+    f = Polynomial(T, [T.elem(1, 0)] * 5)
+    tests = []
+    is_null = T.is_null
+    monkeypatch.setattr(T, "is_null", lambda s: tests.append(s) or is_null(s))
+    for cap in (20, 61):
+        tests.clear()
+        assert bounded_extension_oracle(f, T.elem(1, 0), cap=cap) == (-1, None, False)
+        assert 0 < len(tests) <= cap
 
 
 def _product_multiplicity(f, a, memo):
