@@ -207,12 +207,6 @@ class Idyll:
             f"{self.name} has no finite enumeration and no sum-set closed form"
         )
 
-    def third_summands(self, a, b) -> SumSet:
-        """{c : a + b + c is null} — the sum set scaled by epsilon."""
-        s = self.sum_set(a, b)
-        core = frozenset(self.mul(self.epsilon, c) for c in s.core)
-        return SumSet(core, s.tail_above)
-
     # -- sampling for the axiom harness -------------------------------------
 
     def sample_elements(self, rng: random.Random) -> tuple:

@@ -18,21 +18,12 @@ import sys
 from functools import lru_cache
 
 from .algebra import (
-    Idyll,
     ParseError,
     StructuralError,
     UnsupportedOperationError,
     check_idyll_axioms,
-    rational_field,
-    require_prime,
-    sign_idyll,
 )
-from .extension import (
-    ExtensionDescriptor,
-    check_extension_axioms,
-    signed_tropical,
-    tropical,
-)
+from .extension import ExtensionDescriptor, check_extension_axioms
 from .mult import (
     SearchCapExceeded,
     degree_bound_check,
@@ -56,14 +47,7 @@ from .oracle import (
     check_pinned,
     run_pinned_corpus,
 )
-from .poly import (
-    Polynomial,
-    parse_idyll_name,
-    parse_poly,
-    sign_of_poly,
-    trop_of_rational,
-    trop_real_of_rational,
-)
+from .poly import Polynomial, parse_idyll_name, parse_poly, read_poly
 
 def poly_json(f: Polynomial) -> dict:
     B = f.idyll
@@ -90,37 +74,14 @@ def chain_json(chain) -> dict:
 # command plumbing
 
 
-def _resolve_idyll(args) -> Idyll:
-    name = args.idyll
-    if name is None and getattr(args, "prime", None) is not None:
-        name = "trop"
-    if name is None:
-        raise ParseError("--idyll is required for this command")
-    rank = getattr(args, "rank", None)
-    if rank is not None:
-        if name in ("trop", "trop-real", "oag"):
-            name = f"{name}:rank-{rank}"
-        else:
-            raise ParseError("--rank only refines trop, trop-real, or oag (a spelling of trop)")
-    return parse_idyll_name(name)
-
-
-def _poly_and_idyll(args):
-    B = _resolve_idyll(args)
-    if args.prime is None:
-        return B, parse_poly(args.poly, B)
-    require_prime(args.prime)
-    to_target = {
-        tropical(): trop_of_rational,
-        signed_tropical(): trop_real_of_rational,
-        sign_idyll(): lambda F, p: sign_of_poly(F),
-    }.get(B)
-    if to_target is None:
-        raise ParseError(
-            "--prime maps rational coefficients into trop, trop-real, or sign (rank 1)"
-        )
-    f = to_target(parse_poly(args.poly, rational_field()), args.prime)
-    return f.idyll, f
+def _read_poly(args) -> Polynomial:
+    """The instance --idyll, --poly and --prime name; --prime alone means trop."""
+    idyll = args.idyll
+    if idyll is None:
+        if args.prime is None:
+            raise ParseError("--idyll is required for this command")
+        idyll = "trop"
+    return read_poly(idyll, args.poly, args.prime)
 
 
 def _emit(args, payload: dict, lines) -> None:
@@ -132,7 +93,8 @@ def _emit(args, payload: dict, lines) -> None:
 
 
 def cmd_mult(args) -> int:
-    B, f = _poly_and_idyll(args)
+    f = _read_poly(args)
+    B = f.idyll
     a = B.parse_element(args.at)
     engine = args.engine
     want_search = engine in ("search", "both") or args.certificate
@@ -172,7 +134,8 @@ def cmd_mult(args) -> int:
 
 
 def cmd_roots(args) -> int:
-    B, f = _poly_and_idyll(args)
+    f = _read_poly(args)
+    B = f.idyll
     found = root_multiplicities(f)
     payload = {
         "poly": poly_json(f),
@@ -192,7 +155,8 @@ def cmd_roots(args) -> int:
 
 
 def cmd_divide(args) -> int:
-    B, f = _poly_and_idyll(args)
+    f = _read_poly(args)
+    B = f.idyll
     a = B.parse_element(args.at)
     quotients = divide_once(f, a)
     payload = {
@@ -207,7 +171,8 @@ def cmd_divide(args) -> int:
 
 
 def cmd_lift(args) -> int:
-    B, f = _poly_and_idyll(args)
+    f = _read_poly(args)
+    B = f.idyll
     if not isinstance(B, ExtensionDescriptor):
         raise ParseError("lift needs an extension idyll")
     a = B.parse_element(args.at)
@@ -227,7 +192,7 @@ def cmd_lift(args) -> int:
 
 
 def cmd_newton(args) -> int:
-    _, f = _poly_and_idyll(args)
+    f = _read_poly(args)
     polygon = newton_polygon(f)
     fmt = "json" if args.json else args.format
     print(render_polygon(polygon, fmt))
@@ -235,7 +200,8 @@ def cmd_newton(args) -> int:
 
 
 def cmd_initial_form(args) -> int:
-    B, f = _poly_and_idyll(args)
+    f = _read_poly(args)
+    B = f.idyll
     a = B.parse_element(args.at)
     P, level = initial_form_at(f, a)
     payload = {
@@ -258,7 +224,7 @@ def cmd_initial_form(args) -> int:
 
 
 def cmd_degree_bound(args) -> int:
-    _, f = _poly_and_idyll(args)
+    f = _read_poly(args)
     total, degree, ok = degree_bound_check(f)
     payload = {
         "poly": poly_json(f),
@@ -292,9 +258,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_axioms(args) -> int:
-    B = _resolve_idyll(args)
+    B = parse_idyll_name(args.idyll)
     if isinstance(B, ExtensionDescriptor):
-        violations = check_extension_axioms(B, samples=args.samples)
+        violations = check_extension_axioms(B)
     else:
         violations = check_idyll_axioms(B)
     payload = {"idyll": B.name, "violations": violations}
@@ -358,9 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
         if at:
             sp.add_argument("--at", required=True, help="evaluation point literal")
         sp.add_argument(
-            "--rank", type=int, help="rank for trop or trop-real (oag is a spelling of trop)"
-        )
-        sp.add_argument(
             "--prime",
             type=int,
             help="read --poly over the rationals and map coefficients p-adically",
@@ -412,8 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("axioms", help="axiom harness for an idyll")
     sp.add_argument("--idyll", required=True)
-    sp.add_argument("--rank", type=int)
-    sp.add_argument("--samples", type=int, default=500)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_axioms)
 

@@ -148,7 +148,8 @@ class ExtensionDescriptor(Idyll):
         if a.is_zero or b.is_zero:
             return EXT_ZERO
         u = self.base.mul(a.unit, b.unit)
-        u = self.base.mul(u, self._sigma(a.level, b.level))
+        if self.cocycle is not None:
+            u = self.base.mul(u, self.cocycle(a.level, b.level))
         return ExtElement(u, oag_add(a.level, b.level))
 
     def inv(self, a: ExtElement) -> ExtElement:
@@ -225,19 +226,13 @@ class ExtensionDescriptor(Idyll):
         return self.base.null_terms(units)
 
     def sum_set(self, a: ExtElement, b: ExtElement) -> SumSet:
-        if a.is_zero and b.is_zero:
-            return SumSet(frozenset({EXT_ZERO}))
         if a.is_zero or b.is_zero or a.level != b.level:
-            # the lower term decides alone; the element equal to it is reused,
-            # so quotients share coefficient objects with the divided polynomial
+            # the lower term decides alone, and u + 0 - c is null only for
+            # c = u; reusing the term lets quotients share coefficient objects
+            # with the divided polynomial
             low = b if a.is_zero or (not b.is_zero and b.level < a.level) else a
-            ws = self._base_sum_set(low.unit, self.base.zero)
-            return SumSet(
-                frozenset(
-                    low if w == low.unit else ExtElement(w, low.level) for w in ws.core
-                )
-            )
-        ws = self._base_sum_set(a.unit, b.unit)
+            return SumSet(frozenset({low}))
+        ws = self.base.sum_set(a.unit, b.unit)
         core = set()
         tail_above = None
         for w in ws.core:
@@ -247,15 +242,6 @@ class ExtensionDescriptor(Idyll):
             else:
                 core.add(ExtElement(w, a.level))
         return SumSet(frozenset(core), tail_above)
-
-    def _base_sum_set(self, u, w) -> SumSet:
-        s = self.base.sum_set(u, w)
-        if s.tail_above is not None:
-            raise UnsupportedOperationError(
-                f"base idyll {self.base.name} has infinite sum sets; "
-                "model this as a single higher-rank extension instead"
-            )
-        return s
 
     # -- layering construction (kept independent of sum_set) -----------------
 
@@ -279,7 +265,7 @@ class ExtensionDescriptor(Idyll):
         if y.level > z.level:
             return SumSet(frozenset({z}))
         level = y.level
-        ws = self._base_sum_set(y.unit, z.unit)
+        ws = self.base.sum_set(y.unit, z.unit)
         level_part = frozenset(
             ExtElement(w, level) for w in ws.core if not self.base.is_zero(w)
         )
@@ -341,7 +327,11 @@ def signed_tropical(rank: int = 1) -> ExtensionDescriptor:
 # axiom harness
 
 
-def check_extension_axioms(E: ExtensionDescriptor, samples: int = 1000) -> list:
+# random draws per sampled law of the extension axiom harness
+_AXIOM_SAMPLES = 500
+
+
+def check_extension_axioms(E: ExtensionDescriptor) -> list:
     """Verify the extension axioms on elements sampled with seed 0.
 
     Covers: the exact unit sequence (embedding, valuation, cocycle identity,
@@ -371,7 +361,7 @@ def check_extension_axioms(E: ExtensionDescriptor, samples: int = 1000) -> list:
     for x in nonzero:
         if E.valuation(x) == E._zero_level and not base.contains(x.unit):
             violations.append("level-0 element is not an embedded base unit")
-    for _ in range(samples):
+    for _ in range(_AXIOM_SAMPLES):
         g1, g2, g3 = (rng.choice(levels) for _ in range(3))
         lhs = base.mul(E._sigma(g1, g2), E._sigma(oag_add(g1, g2), g3))
         rhs = base.mul(E._sigma(g2, g3), E._sigma(g1, oag_add(g2, g3)))
@@ -382,7 +372,7 @@ def check_extension_axioms(E: ExtensionDescriptor, samples: int = 1000) -> list:
         if E._sigma(E._zero_level, g) != base.one or E._sigma(g, E._zero_level) != base.one:
             violations.append("cocycle is not normalized at level 0")
             break
-    for _ in range(min(samples, 200)):
+    for _ in range(200):
         a, b, c = (rng.choice(nonzero) for _ in range(3))
         if E.mul(E.mul(a, b), c) != E.mul(a, E.mul(b, c)):
             violations.append("extension multiplication is not associative")
@@ -393,7 +383,7 @@ def check_extension_axioms(E: ExtensionDescriptor, samples: int = 1000) -> list:
             break
 
     # (ii) fullness: base sums keep their verdict inside the extension
-    for _ in range(samples):
+    for _ in range(_AXIOM_SAMPLES):
         n = rng.randint(0, 4)
         s = [rng.choice(base_units) for _ in range(n)]
         embedded = [ExtElement(u, E._zero_level) for u in s]
@@ -402,7 +392,7 @@ def check_extension_axioms(E: ExtensionDescriptor, samples: int = 1000) -> list:
             break
 
     # (iii) higher-level terms never change a verdict
-    for _ in range(samples):
+    for _ in range(_AXIOM_SAMPLES):
         n = rng.randint(1, 4)
         s = [rng.choice(nonzero) for _ in range(n)]
         verdict = E.is_null(s)
@@ -415,7 +405,7 @@ def check_extension_axioms(E: ExtensionDescriptor, samples: int = 1000) -> list:
 
     # (iv) layering agrees with the null rule (hyperfield bases)
     if base.is_whole:
-        for _ in range(samples):
+        for _ in range(_AXIOM_SAMPLES):
             y, z, x = (rng.choice(pool) for _ in range(3))
             in_layering = x in E.layering_hypersum(y, z)
             in_null = E.is_null([y, z, E.mul(E.epsilon, x)])

@@ -24,7 +24,6 @@ from .algebra import (
     RationalFieldIdyll,
     SignIdyll,
     StructuralError,
-    SumSet,
     UnsupportedOperationError,
 )
 from .extension import EXT_ZERO, ExtElement, ExtensionDescriptor
@@ -344,13 +343,15 @@ def lift_factorization(f: Polynomial, a: ExtElement, g: Polynomial) -> Polynomia
     for i in gu.support:
         d[i] = ExtElement(gu.coeffs[i], zero_level)
 
-    def pick(s: SumSet) -> ExtElement:
-        return min(s.core, key=E.sort_key)
+    def pick(choices) -> ExtElement:
+        return min(choices, key=E.sort_key)
 
-    # left run, solved upward; each choice keeps factor_check at its index
+    # left run, solved upward; each choice keeps factor_check at its index:
+    # F_i - d_(i-1) + d_i is null, so d_i is minus a sum of F_i and -d_(i-1)
     prev = EXT_ZERO
     for i in range(0, i0):
-        prev = pick(E.third_summands(F.coeff(i), E.mul(E.epsilon, prev)))
+        s = E.sum_set(F.coeff(i), E.mul(E.epsilon, prev))
+        prev = pick(E.mul(E.epsilon, c) for c in s.core)
         d[i] = prev
 
     # gaps, each solved downward from a zero seed at its top; the last gap
@@ -365,7 +366,7 @@ def lift_factorization(f: Polynomial, a: ExtElement, g: Polynomial) -> Polynomia
             q += 1
         d[q] = EXT_ZERO
         for j in range(q, i, -1):
-            d[j - 1] = pick(E.sum_set(F.coeff(j), d[j]))
+            d[j - 1] = pick(E.sum_set(F.coeff(j), d[j]).core)
         i = q + 1
 
     # undo the normalization: gt_j = r * a^(-j-1) * d_j

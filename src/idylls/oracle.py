@@ -10,7 +10,8 @@ every level `divide_once` can offer. The one-step witness rules move base
 rules by substitution; the tropical staircase lifts the span rule.
 
 The pinned corpus is one table of the paper's worked examples: named
-instances (an idyll name and a polynomial literal) and the checks on them,
+instances (an idyll name, a polynomial literal and an optional prime, read
+by `read_poly` as the command line reads them) and the checks on them,
 read by `run_pinned_corpus` (`idylls verify`) and by `idylls demo <group>`.
 """
 
@@ -24,7 +25,6 @@ from .algebra import (
     StructuralError,
     UnsupportedOperationError,
     quotient_hyperfield,
-    rational_field,
 )
 from .extension import ExtElement, ExtensionDescriptor
 from .mult import (
@@ -51,11 +51,9 @@ from .poly import (
     Polynomial,
     factor_check,
     monomial_substitute,
-    parse_idyll_name,
     parse_poly,
+    read_poly,
     rescale_quotient,
-    sign_of_poly,
-    trop_of_rational,
 )
 
 
@@ -225,18 +223,12 @@ def tropical_division_witness(f: Polynomial, a: ExtElement) -> Polynomial:
 
 _CUBIC = "72 - 6x - 7x^2 + x^3"  # rational roots -3, 4, 6
 
-# idyll names that read the literal over field:Q and map it coefficientwise
-_RATIONAL_MAPS = {
-    "sign of Q": sign_of_poly,
-    "2-adic of Q": lambda F: trop_of_rational(F, 2),
-    "3-adic of Q": lambda F: trop_of_rational(F, 3),
-}
-
-# name: (idyll name, polynomial literal)
+# name: (idyll name, polynomial literal[, prime]), as --idyll, --poly and
+# --prime read them
 PINNED_INSTANCES = {
-    "sign cubic": ("sign of Q", _CUBIC),
-    "2-adic cubic": ("2-adic of Q", _CUBIC),
-    "3-adic cubic": ("3-adic of Q", _CUBIC),
+    "sign cubic": ("sign", _CUBIC, 2),
+    "2-adic cubic": ("trop", _CUBIC, 2),
+    "3-adic cubic": ("trop", _CUBIC, 3),
     "quintic": ("trop", "2 + 1*x + 0*x^2 + 0*x^3 + 1*x^5"),
     "full quintic": ("trop", "2 + 1*x + 0*x^2 + 0*x^3 + 2*x^4 + 1*x^5"),
     "catalan quadratic": ("trop-real", "1 - x + 1^1*x^2"),
@@ -380,11 +372,7 @@ class OracleReport:
 
 def check_pinned(group: str, instance: str, query: str, points: tuple, expected):
     """Evaluate one row of PINNED_CHECKS against the library."""
-    idyll, text = PINNED_INSTANCES[instance]
-    if idyll in _RATIONAL_MAPS:
-        f = _RATIONAL_MAPS[idyll](parse_poly(text, rational_field()))
-    else:
-        f = parse_poly(text, parse_idyll_name(idyll))
+    f = read_poly(*PINNED_INSTANCES[instance])
     computed = _QUERIES[query](f, *points)
     name = f"{instance}: {query}" + (f" at {', '.join(points)}" if points else "")
     return OracleReport(name, expected, computed, expected == computed)

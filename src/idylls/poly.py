@@ -8,7 +8,9 @@ test is `factor_check`.
 
 The text grammar (`parse_idyll_name`, `parse_poly`) reads what `str` writes.
 The maps at the end carry a polynomial over the rationals into the sign
-idyll and the (signed) tropical numbers, coefficient by coefficient.
+idyll and the (signed) tropical numbers, coefficient by coefficient;
+`read_poly` reads an instance as the command line names it, an idyll, a
+literal and an optional prime that selects one of those maps.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .algebra import (
     phase_idyll,
     quotient_hyperfield,
     rational_field,
+    require_prime,
     sign_idyll,
     sign_of_rational,
 )
@@ -385,3 +388,32 @@ def trop_real_of_rational(F: Polynomial, p: int) -> Polynomial:
         for c in F.coeffs
     ]
     return Polynomial(signed_tropical(), coeffs)
+
+
+# target idyll name -> the map that reads a rational polynomial into it
+_RATIONAL_MAPS = {
+    "trop": trop_of_rational,
+    "trop-real": trop_real_of_rational,
+    "sign": lambda F, p: sign_of_poly(F),
+}
+
+
+def read_poly(idyll: str, text: str, prime: int = None) -> Polynomial:
+    """The polynomial that `--idyll idyll --poly text [--prime prime]` names.
+
+    Without a prime, `text` is a literal over the idyll. With one, `text` is
+    read over field:Q and mapped coefficientwise into the idyll: p-adic
+    valuations for trop, sign and valuation for trop-real, signs for sign.
+    The prime is checked first, for every target; any other target raises
+    ParseError.
+    """
+    B = parse_idyll_name(idyll)
+    if prime is None:
+        return parse_poly(text, B)
+    require_prime(prime)
+    to_target = _RATIONAL_MAPS.get(B.name)
+    if to_target is None:
+        raise ParseError(
+            "--prime maps rational coefficients into trop, trop-real, or sign (rank 1)"
+        )
+    return to_target(parse_poly(text, rational_field()), prime)

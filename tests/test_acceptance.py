@@ -351,7 +351,7 @@ def test_axiom_harness_catalog():
         trop_extension(quotient_hyperfield(5, (1, 4)), 1),
     ]
     for E in extensions:
-        assert check_extension_axioms(E, samples=400) == [], E.name
+        assert check_extension_axioms(E) == [], E.name
 
     # componentwise sign x min-plus product misses the dominance rule
     terms = [TR.elem(1, 0), TR.elem(1, 0), TR.elem(-1, 1)]

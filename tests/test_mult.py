@@ -499,20 +499,31 @@ def test_degree_bound_strict_for_rootless_polys():
     assert total == 0 and deg == 2 and ok
 
 
+# every GF(p)/G with p <= 13 and G neither trivial nor all units, each with a
+# quadratic whose root multiplicities sum to 4
+NON_STRINGENT = [
+    ("quot:GF(5)/{1,4}", "[1] + [1]*x^2", [2, 2]),
+    ("quot:GF(7)/{1,2,4}", "[1] + [1]*x + [1]*x^2", [2, 2]),
+    ("quot:GF(7)/{1,6}", "[1] + [2]*x + [1]*x^2", [2, 1, 1]),
+    ("quot:GF(11)/{1,3,4,5,9}", "[1] + [1]*x + [1]*x^2", [2, 2]),
+    ("quot:GF(11)/{1,10}", "[1] + [4]*x + [1]*x^2", [1, 1, 1, 1]),
+    ("quot:GF(13)/{1,12}", "[1] + [1]*x^2", [2, 2]),
+    ("quot:GF(13)/{1,3,9}", "[1] + [1]*x + [1]*x^2", [2, 1, 1]),
+    ("quot:GF(13)/{1,5,8,12}", "[1] + [2]*x + [1]*x^2", [2, 1, 1]),
+    ("quot:GF(13)/{1,3,4,9,10,12}", "[1] + [1]*x^2", [2, 2]),
+]
+
+
 @pytest.mark.parametrize(
-    "name, text",
-    [
-        ("quot:GF(5)/{1,4}", "[1] + [1]*x^2"),
-        ("quot:GF(7)/{1,2,4}", "[1] + [1]*x + [1]*x^2"),
-        ("quot:GF(11)/{1,3,4,5,9}", "[1] + [1]*x + [1]*x^2"),
-    ],
+    "name, text, mults", NON_STRINGENT, ids=[f"{n}-{t}" for n, t, _ in NON_STRINGENT]
 )
-def test_degree_bound_fails_over_non_stringent_quotients(name, text):
-    # a quadratic with two double roots: the bound needs stringency
+def test_degree_bound_fails_over_non_stringent_quotients(name, text, mults):
+    # a quadratic whose multiplicities sum past its degree: the bound needs
+    # stringency
     f = parse_poly(text, parse_idyll_name(name))
     assert degree_bound_check(f) == (4, 2, False)
     roots = root_multiplicities(f)
-    assert [m for _, m in roots] == [2, 2]
+    assert [m for _, m in roots] == mults
     for a, m in roots:
         assert exhaustive_multiplicity(f, a) == m
 
