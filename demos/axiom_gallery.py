@@ -62,7 +62,7 @@ def main() -> int:
     for E in EXTENSIONS:
         violations = check_extension_axioms(E)
         assert violations == [], (E.name, violations)
-        print(f"{E.name:18s} extension axioms (exact sequence, layering): ok")
+        print(f"{E.name:18s} idyll and extension axioms (cocycle, layering): ok")
     return 0
 
 

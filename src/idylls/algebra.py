@@ -709,51 +709,24 @@ AXIOM_SUM_LEN = 4
 
 
 def check_idyll_axioms(B: Idyll) -> list:
-    """Verify the idyll axioms; returns a list of violation strings.
+    """Verify the idyll axioms; returns one violation string per failed law.
 
     Finite carriers of at most ``EXHAUSTIVE_CARRIER`` elements are checked
     exhaustively (sums up to ``AXIOM_SUM_LEN`` terms); larger and infinite
     carriers are checked on a sample pool drawn with seed 0, which makes the
-    run a sound refutation but only a spot check of universals.
+    run a sound refutation but only a spot check of universals. Each law
+    stops at its first failing case.
     """
     rng = random.Random(0)
-    violations = []
     exhaustive = B.elements is not None and len(B.elements) <= EXHAUSTIVE_CARRIER
     pool = tuple(B.elements if exhaustive else B.sample_elements(rng))
     units = [x for x in pool if not B.is_zero(x)]
-
-    if B.is_zero(B.one):
-        violations.append("zero equals one")
-    if not B.is_null([]):
-        violations.append("empty sum is not null")
-
-    # group structure of the units
-    for a in units:
-        for b in units:
-            ab = B.mul(a, b)
-            if B.is_zero(ab):
-                violations.append(
-                    f"unit product hit zero: {B.format_element(a)}*{B.format_element(b)}"
-                )
-            if not B.contains(ab):
-                violations.append(f"product left the carrier: {B.format_element(ab)}")
-            if ab != B.mul(b, a):
-                violations.append("multiplication is not commutative")
-        if B.mul(B.one, a) != a:
-            violations.append(f"1*{B.format_element(a)} != {B.format_element(a)}")
-        try:
-            if B.mul(B.inv(a), a) != B.one:
-                violations.append(f"inverse failed for {B.format_element(a)}")
-        except ZeroDivisionError:
-            violations.append(f"no inverse for unit {B.format_element(a)}")
+    fmt = B.format_element
+    products = [(a, b, B.mul(a, b)) for a in units for b in units]
     if len(units) ** 3 <= 1000:
         triples = itertools.product(units, repeat=3)
     else:
         triples = [tuple(rng.choice(units) for _ in range(3)) for _ in range(1000)]
-    for a, b, c in triples:
-        if B.mul(B.mul(a, b), c) != B.mul(a, B.mul(b, c)):
-            violations.append("multiplication is not associative")
-            break
 
     # distinguished weak inverse: exists, squares to one, unique when checkable
     eps = getattr(B, "epsilon", None)
@@ -764,42 +737,75 @@ def check_idyll_axioms(B: Idyll) -> list:
         and B.mul(eps, eps) == B.one
         and B.is_null([B.one, eps])
     )
-    if not eps_ok:
-        violations.append("no epsilon: no declared unit e with e*e = 1 and 1 + e null")
+    if eps_ok:
+        epsilon_law = (
+            f"epsilon is not unique: {fmt(e)} also works"
+            for e in units
+            if e != eps and B.mul(e, e) == B.one and B.is_null([B.one, e])
+        )
     else:
-        for e in units:
-            if e != eps and B.mul(e, e) == B.one and B.is_null([B.one, e]):
-                violations.append(
-                    f"epsilon is not unique: {B.format_element(e)} also works"
-                )
+        epsilon_law = ["no epsilon: no declared unit e with e*e = 1 and 1 + e null"]
 
-    # properness: no nonzero singleton is null
-    for a in units:
-        if B.is_null([a]):
-            violations.append(f"singleton {B.format_element(a)} is null")
+    # ideal closure on sums up to AXIOM_SUM_LEN (unit scaling and additivity);
+    # a sampled pool keeps its first 200 null sums
+    sums = itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(units, n)
+        for n in range(1, AXIOM_SUM_LEN + 1)
+    )
+    null_sums = list(
+        itertools.islice((s for s in sums if B.is_null(s)), None if exhaustive else 200)
+    )
 
-    # ideal closure on sums up to AXIOM_SUM_LEN (unit scaling and additivity)
-    null_sums = []
-    for length in range(1, AXIOM_SUM_LEN + 1):
-        for combo in itertools.combinations_with_replacement(units, length):
-            if B.is_null(combo):
-                null_sums.append(combo)
-    if not exhaustive and len(null_sums) > 200:
-        null_sums = null_sums[:200]
-    for s in null_sums:
-        for u in units:
-            scaled = [B.mul(u, t) for t in s]
-            if not B.is_null(scaled):
-                violations.append(
-                    f"null sum lost nullity under scaling by {B.format_element(u)}"
-                )
-                break
-    for s in null_sums:
-        for t in null_sums:
-            if len(s) + len(t) > AXIOM_SUM_LEN + 2:
-                continue
-            if not B.is_null(list(s) + list(t)):
-                violations.append("sum of two null sums is not null")
-                break
+    laws = [
+        ["zero equals one"] if B.is_zero(B.one) else [],
+        [] if B.is_null([]) else ["empty sum is not null"],
+        # group structure of the units
+        (
+            f"unit product hit zero: {fmt(a)}*{fmt(b)}"
+            for a, b, ab in products
+            if B.is_zero(ab)
+        ),
+        (
+            f"product left the carrier: {fmt(ab)}"
+            for _, _, ab in products
+            if not B.contains(ab)
+        ),
+        (
+            "multiplication is not commutative"
+            for a, b, ab in products
+            if ab != B.mul(b, a)
+        ),
+        (f"1*{fmt(a)} != {fmt(a)}" for a in units if B.mul(B.one, a) != a),
+        filter(None, (_inverse_failure(B, a) for a in units)),
+        (
+            "multiplication is not associative"
+            for a, b, c in triples
+            if B.mul(B.mul(a, b), c) != B.mul(a, B.mul(b, c))
+        ),
+        epsilon_law,
+        # properness: no nonzero singleton is null
+        (f"singleton {fmt(a)} is null" for a in units if B.is_null([a])),
+        (
+            f"null sum lost nullity under scaling by {fmt(u)}"
+            for s in null_sums
+            for u in units
+            if not B.is_null([B.mul(u, t) for t in s])
+        ),
+        (
+            "sum of two null sums is not null"
+            for s in null_sums
+            for t in null_sums
+            if len(s) + len(t) <= AXIOM_SUM_LEN + 2 and not B.is_null(s + t)
+        ),
+    ]
+    return [message for law in laws for message in itertools.islice(law, 1)]
 
-    return violations
+
+def _inverse_failure(B: Idyll, a):
+    """Why the unit a has no inverse in B, or None when it has one."""
+    try:
+        if B.mul(B.inv(a), a) == B.one:
+            return None
+    except ZeroDivisionError:
+        return f"no inverse for unit {B.format_element(a)}"
+    return f"inverse failed for {B.format_element(a)}"

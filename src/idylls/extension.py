@@ -24,12 +24,14 @@ from functools import lru_cache
 from typing import Optional
 
 from .algebra import (
+    EXHAUSTIVE_CARRIER,
     ForeignElementError,
     Idyll,
     ParseError,
     StructuralError,
     SumSet,
     UnsupportedOperationError,
+    check_idyll_axioms,
     krasner,
     sign_idyll,
 )
@@ -276,23 +278,24 @@ class ExtensionDescriptor(Idyll):
     # -- sampling -------------------------------------------------------------
 
     def sample_elements(self, rng: random.Random):
-        if self.base.elements is not None:
-            units = [u for u in self.base.elements if not self.base.is_zero(u)]
+        """Zero, then each sampled base unit at each sampled level.
+
+        The units are every unit of a base of at most ``EXHAUSTIVE_CARRIER``
+        elements; from a larger or infinite base they are one, epsilon and
+        four more drawn from the base's own pool, so both signs occur. The
+        levels have coordinates in -1..2, at most 16 of them.
+        """
+        base = self.base
+        if base.elements is not None and len(base.elements) <= EXHAUSTIVE_CARRIER:
+            units = [u for u in base.elements if not base.is_zero(u)]
         else:
-            units = [
-                u
-                for u in self.base.sample_elements(rng)
-                if not self.base.is_zero(u)
-            ][:4]
+            drawn = [u for u in base.sample_elements(rng) if not base.is_zero(u)]
+            units = list(
+                dict.fromkeys([base.one, base.epsilon] + rng.sample(drawn, len(drawn)))
+            )[:6]
         span = [Fraction(k) for k in (-1, 0, 1, 2)]
-        levels = list(itertools.product(span, repeat=self.rank))
-        if len(levels) > 16:
-            levels = levels[:16]
-        pool = [EXT_ZERO]
-        for u in units:
-            for lv in levels:
-                pool.append(ExtElement(u, lv))
-        return tuple(pool)
+        levels = list(itertools.product(span, repeat=self.rank))[:16]
+        return (EXT_ZERO,) + tuple(ExtElement(u, lv) for u in units for lv in levels)
 
 
 # ---------------------------------------------------------------------------
@@ -332,35 +335,25 @@ _AXIOM_SAMPLES = 500
 
 
 def check_extension_axioms(E: ExtensionDescriptor) -> list:
-    """Verify the extension axioms on elements sampled with seed 0.
+    """Verify the idyll axioms, then the extension's own laws, with seed 0.
 
-    Covers: the exact unit sequence (embedding, valuation, cocycle identity,
-    group laws), fullness of the base inside the extension, inertness of
-    higher-level terms, and — for hyperfield bases — agreement between the
-    layering hypersum and the null-ideal rule. Returns the violations.
+    Starts from `check_idyll_axioms(E)` on the extension's sample pool; the
+    laws an idyll does not have are checked on the units and levels of the
+    same pool: the cocycle identity and its normalisation at level 0,
+    fullness of the base inside the extension, inertness of higher-level
+    terms, and agreement between the layering hypersum and the null rule.
+    The layering law is skipped over a base without hyperfield sum sets: one
+    that is not whole, or whose `sum_set` raises `UnsupportedOperationError`
+    (phase). Returns one violation string per failed law.
     """
+    violations = check_idyll_axioms(E)
     rng = random.Random(0)
-    violations = []
     base = E.base
-    pool = list(E.sample_elements(rng))
+    pool = E.sample_elements(rng)
     nonzero = [x for x in pool if not x.is_zero]
-    if base.elements is not None:
-        base_units = [u for u in base.elements if not base.is_zero(u)]
-    else:
-        base_units = [u for u in base.sample_elements(rng) if not base.is_zero(u)][:6]
-    levels = sorted({x.level for x in nonzero})
+    base_units = list(dict.fromkeys(x.unit for x in nonzero))
+    levels = list(dict.fromkeys(x.level for x in nonzero))
 
-    # (i) exactness and group structure
-    for u in base_units:
-        e = ExtElement(u, E._zero_level)
-        if E.valuation(e) != E._zero_level:
-            violations.append("embedded base unit does not sit at level 0")
-    for g in levels:
-        if E.valuation(ExtElement(base.one, g)) != g:
-            violations.append("valuation is not surjective onto sampled levels")
-    for x in nonzero:
-        if E.valuation(x) == E._zero_level and not base.contains(x.unit):
-            violations.append("level-0 element is not an embedded base unit")
     for _ in range(_AXIOM_SAMPLES):
         g1, g2, g3 = (rng.choice(levels) for _ in range(3))
         lhs = base.mul(E._sigma(g1, g2), E._sigma(oag_add(g1, g2), g3))
@@ -372,17 +365,8 @@ def check_extension_axioms(E: ExtensionDescriptor) -> list:
         if E._sigma(E._zero_level, g) != base.one or E._sigma(g, E._zero_level) != base.one:
             violations.append("cocycle is not normalized at level 0")
             break
-    for _ in range(200):
-        a, b, c = (rng.choice(nonzero) for _ in range(3))
-        if E.mul(E.mul(a, b), c) != E.mul(a, E.mul(b, c)):
-            violations.append("extension multiplication is not associative")
-            break
-    for x in nonzero[: min(len(nonzero), 50)]:
-        if E.mul(x, E.inv(x)) != E.one:
-            violations.append(f"inverse failed for {E.format_element(x)}")
-            break
 
-    # (ii) fullness: base sums keep their verdict inside the extension
+    # fullness: base sums keep their verdict inside the extension
     for _ in range(_AXIOM_SAMPLES):
         n = rng.randint(0, 4)
         s = [rng.choice(base_units) for _ in range(n)]
@@ -391,7 +375,7 @@ def check_extension_axioms(E: ExtensionDescriptor) -> list:
             violations.append(f"fullness fails on base sum {s!r}")
             break
 
-    # (iii) higher-level terms never change a verdict
+    # higher-level terms never change a verdict
     for _ in range(_AXIOM_SAMPLES):
         n = rng.randint(1, 4)
         s = [rng.choice(nonzero) for _ in range(n)]
@@ -403,8 +387,8 @@ def check_extension_axioms(E: ExtensionDescriptor) -> list:
             violations.append("appending a higher-level term changed a verdict")
             break
 
-    # (iv) layering agrees with the null rule (hyperfield bases)
-    if base.is_whole:
+    # layering agrees with the null rule
+    try:
         for _ in range(_AXIOM_SAMPLES):
             y, z, x = (rng.choice(pool) for _ in range(3))
             in_layering = x in E.layering_hypersum(y, z)
@@ -415,5 +399,7 @@ def check_extension_axioms(E: ExtensionDescriptor) -> list:
                     f"({E.format_element(y)}, {E.format_element(z)}, {E.format_element(x)})"
                 )
                 break
+    except UnsupportedOperationError:
+        pass
 
     return violations

@@ -417,6 +417,24 @@ def test_formal_sum_rejects_foreign_terms():
         FormalSum(S, [1, 2])
 
 
+def test_free_functions_validate_then_answer_as_the_methods():
+    from idylls.algebra import ForeignElementError, is_null, sum_set
+
+    with pytest.raises(ForeignElementError):
+        is_null(S, [1, 2])
+    with pytest.raises(ForeignElementError):
+        sum_set(S, 1, 2)
+    with pytest.raises(ForeignElementError):
+        sum_set(Q, Fraction(1), "1")
+    for B, s, a, b in [
+        (S, [1, -1], 1, -1),
+        (F5, [1, 2, 3], 2, 4),
+        (Q, [Fraction(1, 2), Fraction(-1, 3)], Fraction(1, 2), Fraction(-1, 2)),
+    ]:
+        assert is_null(B, s) == B.is_null(s)
+        assert sum_set(B, a, b) == B.sum_set(a, b)
+
+
 def test_parse_format_round_trip_catalog():
     cases = [
         (K, ["0", "1"]),

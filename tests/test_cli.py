@@ -306,6 +306,13 @@ def test_engine_disagreement_exits_3(monkeypatch, capsys):
     assert rc == 3
 
 
+def test_rational_roots_include_zero(capsys):
+    rc = main(["roots", "--idyll", "field:Q", "--poly", "x^3 - 2x^2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert [line.strip() for line in lines[1:]] == ["0  mult 2", "2  mult 1"]
+
+
 def test_roots_subcommand(capsys):
     rc = main(["roots", "--idyll", "sign", "--poly", "1 - x - x^2 + x^3", "--json"])
     out = json.loads(capsys.readouterr().out)
@@ -406,6 +413,13 @@ def test_axioms_subcommand(capsys):
         rc = main(["axioms", "--idyll", name])
         capsys.readouterr()
         assert rc == 0
+
+
+def test_axioms_over_a_phase_extension_skip_only_layering(capsys):
+    # phase sums form infinite arcs, so the layering law has no sum sets to read
+    rc = main(["axioms", "--idyll", "ext:phase:1"])
+    assert "all checks passed" in capsys.readouterr().out
+    assert rc == 0
 
 
 def test_axioms_finish_on_a_large_prime_field(capsys):

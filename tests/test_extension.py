@@ -10,9 +10,13 @@ from idylls.algebra import (
     FormalSum,
     StructuralError,
     UnsupportedOperationError,
+    check_idyll_axioms,
+    f1pm,
     finite_field,
     krasner,
+    phase_idyll,
     quotient_hyperfield,
+    rational_field,
     sign_idyll,
 )
 from idylls.extension import (
@@ -233,14 +237,26 @@ def test_twisted_extensions_compare_by_name():
         trop_extension(S, 1, cocycle=_coboundary(phi))
 
 
-def test_broken_cocycle_is_flagged_by_the_harness():
+def _broken_cocycle(g1, g2):
     # violates the 2-cocycle identity on levels of mixed parity
-    def bad(g1, g2):
-        return -1 if (g1[0] + 2 * g2[0]).numerator % 3 == 1 else 1
+    return -1 if (g1[0] + 2 * g2[0]).numerator % 3 == 1 else 1
 
-    E = trop_extension(S, 1, cocycle=bad, name="broken")
+
+def test_broken_cocycle_is_flagged_by_the_harness():
+    E = trop_extension(S, 1, cocycle=_broken_cocycle, name="broken")
     violations = check_extension_axioms(E)
     assert any("cocycle" in v for v in violations)
+
+
+def test_extension_harness_runs_the_idyll_laws_and_reports_each_law_once():
+    E = trop_extension(S, 1, cocycle=_broken_cocycle, name="broken")
+    idyll_violations = check_idyll_axioms(E)
+    violations = check_extension_axioms(E)
+    assert "multiplication is not commutative" in idyll_violations
+    assert violations[: len(idyll_violations)] == idyll_violations
+    assert any("cocycle" in v for v in violations)
+    for found in (idyll_violations, violations):
+        assert len(found) == len(set(found))
 
 
 # -- hypersum layering ----------------------------------------------------------
@@ -318,12 +334,32 @@ EXTENSIONS = [
     trop_extension(quotient_hyperfield(5, (1, 4)), 1),
     signed_tropical(2),
     trop_extension(finite_field(5), 1),
+    trop_extension(f1pm(), 1),
+    trop_extension(rational_field(), 1),
+    # phase has no sum sets, so only the layering law is skipped
+    trop_extension(phase_idyll(), 1),
 ]
 
 
 @pytest.mark.parametrize("E", EXTENSIONS, ids=lambda e: e.name)
 def test_extension_axiom_harness(E):
     assert check_extension_axioms(E) == []
+
+
+def test_rational_extension_pool_holds_a_null_sum_at_one_level():
+    # a pool of negative units alone has no null sum, so closure and
+    # fullness would never meet one
+    E = trop_extension(rational_field(), 1)
+    pool = E.sample_elements(random.Random(0))
+    units = {x.unit for x in pool if not x.is_zero}
+    assert len(units) >= 6 and {E.base.one, E.base.epsilon} <= units
+    assert min(units) < 0 < max(units)
+    level = [x for x in pool if not x.is_zero and x.level == oag(0)]
+    assert any(
+        E.is_null(s)
+        for n in range(2, 5)
+        for s in itertools.combinations_with_replacement(level, n)
+    )
 
 
 # -- formatting and parsing ---------------------------------------------------------

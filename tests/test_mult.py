@@ -12,6 +12,7 @@ from idylls.algebra import (
     ForeignElementError,
     StructuralError,
     UnsupportedOperationError,
+    f1pm,
     finite_field,
     krasner,
     padic_valuation,
@@ -35,7 +36,11 @@ from idylls.mult import (
 )
 from idylls.newton import initial_form_at
 from idylls.oag import oag
-from idylls.oracle import bounded_extension_oracle, exhaustive_multiplicity
+from idylls.oracle import (
+    bounded_extension_oracle,
+    exhaustive_multiplicity,
+    exhaustive_root_set,
+)
 from idylls.poly import Polynomial, factor_check, parse_idyll_name, parse_poly
 
 K = krasner()
@@ -85,6 +90,23 @@ def test_is_root_at_the_zero_point():
     assert is_root(parse_poly("x - x^2", S), 0)
     assert not is_root(parse_poly("1 + x", S), 0)
     assert is_root(parse_poly("3*x", finite_field(5)), 0)
+
+
+def test_is_root_off_a_whole_idyll_is_a_division():
+    # f1pm is not whole, so is_root asks divide_once for a witness
+    F = f1pm()
+    polys = [
+        Polynomial(F, coeffs + (lead,))
+        for degree in (1, 2, 3)
+        for coeffs in itertools.product(F.elements, repeat=degree)
+        for lead in F.elements[1:]
+    ]
+    assert len(polys) == 78
+    for f in polys:
+        assert {a for a in F.elements if is_root(f, a)} == exhaustive_root_set(f), f
+    E = parse_idyll_name("ext:f1pm:1")
+    f = parse_poly("1^0 + -1^0*x", E)
+    assert is_root(f, E.one) and not is_root(f, E.epsilon)
 
 
 def test_foreign_point_rejected():
