@@ -1,10 +1,12 @@
 """A tour of the catalog: one null rule per idyll, then the axiom harness.
 
 Every structure here is a multiplicative monoid plus a rule declaring which
-formal sums vanish. The harness checks the shared axioms: a proper null
-ideal closed under multiplication, symmetry, a unique weak minus sign,
-and the two-term/three-term exchange properties that make division chains
-meaningful. Finite carriers are checked exhaustively.
+formal sums vanish. The harness checks the shared axioms: the units form a
+commutative group, there is a unique epsilon (a unit e with e*e = 1 and
+1 + e null), the null sums are proper (no nonzero singleton is null), and
+they form an ideal, closed under scaling by a unit and under addition. Over
+an extension it adds the cocycle, fullness, inertness and layering laws.
+Small finite carriers are checked exhaustively.
 """
 
 from fractions import Fraction

@@ -27,7 +27,7 @@ from .algebra import (
     UnsupportedOperationError,
 )
 from .extension import EXT_ZERO, ExtElement, ExtensionDescriptor
-from .newton import initial_form_at, lower_hull
+from .newton import initial_form_at, root_levels, shifted_levels
 from .oag import oag_add, oag_div, oag_scale, oag_sub, oag_zero
 from .poly import (
     Polynomial,
@@ -183,9 +183,7 @@ def _tail_pool(f: Polynomial, a) -> tuple:
         )
     units = [u for u in B.base.elements if not B.base.is_zero(u)]
     gamma = a.level
-    shifted = sorted(
-        {oag_add(f.coeffs[i].level, oag_scale(gamma, i)) for i in f.support}
-    )
+    shifted = sorted(set(shifted_levels(f, gamma).values()))
     mids = [oag_div(oag_add(x, y), 2) for x, y in zip(shifted, shifted[1:])]
     return sorted(shifted + mids), gamma, units
 
@@ -411,18 +409,6 @@ def _rational_candidates(f: Polynomial, budget: _Budget) -> list:
     return sorted(cands)
 
 
-def _extension_candidate_levels(f: Polynomial) -> list:
-    """Levels where min v(c_i) + i*level is attained twice, ascending.
-
-    These are the negated edge slopes of the lower hull of (i, v(c_i)).
-    """
-    hull = lower_hull([(i, f.coeffs[i].level) for i in f.support])
-    levels = [
-        oag_div(oag_sub(v, w), j - i) for (i, v), (j, w) in zip(hull, hull[1:])
-    ]
-    return levels[::-1]
-
-
 def root_candidates(f: Polynomial, cap: int = None):
     """A finite superset of the roots of f, ready for multiplicity testing.
 
@@ -444,7 +430,7 @@ def root_candidates(f: Polynomial, cap: int = None):
         units = [u for u in B.base.elements if not B.base.is_zero(u)]
         cands = [
             ExtElement(u, g)
-            for g in _extension_candidate_levels(f)
+            for g in root_levels(f)
             for u in units
         ]
         if 0 not in f.support:

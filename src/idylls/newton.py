@@ -7,10 +7,12 @@ initial form of f at level g: a polynomial over the base idyll that controls
 root multiplicity at every root of level g.
 
 A level is a tuple of rationals, so Python's tuple order is already the
-lexicographic order that every rank needs. For higher-rank value groups the
-hull picture is replaced by lexicographic argmin, computed either in one
-step or coordinate by coordinate (`initial_form_rounds`); both give the same
-index set.
+lexicographic order that every rank needs. `shifted_levels` is the one place
+that computes v(c_i) + i*g, and an initial form keeps the indices where it is
+minimal. Over a higher-rank value group the same minimum can be read one
+coordinate at a time: round k of `initial_form_rounds` keeps the indices
+whose first k coordinates are minimal, so each round is a prefix of that one
+argmin, not a second computation.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .oag import (
     as_level,
     format_rational,
     oag_add,
+    oag_div,
     oag_scale,
     oag_sub,
     oag_zero,
@@ -126,22 +129,49 @@ def newton_polygon(f: Polynomial) -> NewtonPolygon:
     return NewtonPolygon(pts, tuple(hull), edges)
 
 
+def root_levels(f: Polynomial) -> list:
+    """Levels where min v(c_i) + i*level is attained twice, ascending.
+
+    These are the negated edge slopes of the lower hull of (i, v(c_i)), and
+    the only levels at which f can have a nonzero root.
+    """
+    hull = lower_hull([(i, f.coeffs[i].level) for i in f.support])
+    levels = [
+        oag_div(oag_sub(v, w), j - i) for (i, v), (j, w) in zip(hull, hull[1:])
+    ]
+    return levels[::-1]
+
+
 # ---------------------------------------------------------------------------
 # initial forms
 
 
-def _argmin_levels(f: Polynomial, gamma: tuple):
-    """Indices minimizing v(c_i) + i*gamma, with the minimum itself."""
-    best = None
-    idx = []
-    for i in f.support:
-        val = oag_add(f.coeffs[i].level, oag_scale(gamma, i))
-        if best is None or val < best:
-            best = val
-            idx = [i]
-        elif val == best:
-            idx.append(i)
-    return idx, best
+def shifted_levels(f: Polynomial, gamma: tuple) -> dict:
+    """{i: v(c_i) + i*gamma} over the support of f: its terms' levels at gamma."""
+    return {i: oag_add(f.coeffs[i].level, oag_scale(gamma, i)) for i in f.support}
+
+
+def _round(f: Polynomial, shifted: dict, k: int) -> Polynomial:
+    """The terms of f whose shifted levels have lexicographically minimal
+    first k coordinates, each as (unit, level[k:]) over the rank - k
+    extension; at k = rank, bare units over the base."""
+    E = f.idyll
+    low = min(v[:k] for v in shifted.values())
+    idx = [i for i, v in shifted.items() if v[:k] == low]
+    B = E.base if k == E.rank else trop_extension(E.base, E.rank - k)
+    coeffs = [B.zero] * (max(idx) + 1)
+    for i in idx:
+        c = f.coeffs[i]
+        coeffs[i] = c.unit if k == E.rank else ExtElement(c.unit, c.level[k:])
+    return Polynomial(B, coeffs)
+
+
+def _shifted(f: Polynomial, gamma) -> dict:
+    """`shifted_levels` of a nonzero f over an extension, at gamma read at its rank."""
+    E = _levelled(f)
+    if f.is_zero:
+        raise StructuralError("the zero polynomial has no initial form")
+    return shifted_levels(f, as_level(gamma, E.rank))
 
 
 def initial_form_split(f: Polynomial, gamma) -> tuple:
@@ -151,16 +181,8 @@ def initial_form_split(f: Polynomial, gamma) -> tuple:
     original degree; no unit twist is applied, so roots of level gamma
     correspond to base roots at their own unit.
     """
-    E = _levelled(f)
-    if f.is_zero:
-        raise StructuralError("the zero polynomial has no initial form")
-    gamma = as_level(gamma, E.rank)
-    idx, g0 = _argmin_levels(f, gamma)
-    base = E.base
-    coeffs = [base.zero] * (max(idx) + 1)
-    for i in idx:
-        coeffs[i] = f.coeffs[i].unit
-    return Polynomial(base, coeffs), g0
+    shifted = _shifted(f, gamma)
+    return _round(f, shifted, f.idyll.rank), min(shifted.values())
 
 
 def initial_form_at(f: Polynomial, a: ExtElement) -> tuple:
@@ -174,37 +196,16 @@ def initial_form_at(f: Polynomial, a: ExtElement) -> tuple:
 def initial_form_rounds(f: Polynomial, gamma) -> list:
     """Head-coordinate initial forms, one value-group coordinate at a time.
 
-    Round k keeps the indices minimizing the k-th coordinate of
-    v(c_i) + i*gamma among the survivors and drops that coordinate from the
-    remaining levels. The last round lands in the base idyll. The surviving
-    index set equals the one-step lexicographic argmin.
+    Round k (k = 1, ..., rank) keeps the indices where the first k
+    coordinates of v(c_i) + i*gamma are lexicographically minimal, with
+    coefficients (unit, level[k:]) over the split extension of rank
+    rank - k. The last round is `initial_form_split`: bare units over the
+    base, at the full argmin.
     """
-    E = _levelled(f)
-    if not E.is_split:
+    if not _levelled(f).is_split:
         raise StructuralError("projection rounds need a split extension")
-    if f.is_zero:
-        raise StructuralError("the zero polynomial has no initial form")
-    gamma = as_level(gamma, E.rank)
-    rounds = []
-    while True:
-        if E.rank == 1:
-            P, _ = initial_form_split(f, gamma)
-            rounds.append(P)
-            return rounds
-        shifted = {
-            i: oag_add(f.coeffs[i].level, oag_scale(gamma, i)) for i in f.support
-        }
-        heads = {i: v[0] for i, v in shifted.items()}
-        m = min(heads.values())
-        idx = [i for i in f.support if heads[i] == m]
-        E2 = trop_extension(E.base, E.rank - 1)
-        coeffs = [E2.zero] * (max(idx) + 1)
-        for i in idx:
-            coeffs[i] = ExtElement(f.coeffs[i].unit, f.coeffs[i].level[1:])
-        f = Polynomial(E2, coeffs)
-        rounds.append(f)
-        gamma = gamma[1:]
-        E = E2
+    shifted = _shifted(f, gamma)
+    return [_round(f, shifted, k) for k in range(1, f.idyll.rank + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -390,6 +390,22 @@ def test_initial_form_subcommand(capsys):
     assert out["level"] == "-1"
 
 
+def test_initial_form_reports_each_round_with_its_idyll(capsys):
+    rc = main(
+        ["initial-form", "--idyll", "ext:quot:GF(5)/{1,4}:2",
+         "--poly", "[1]^(0,0) + [2]^(0,1)*x", "--at", "[1]^(0,0)", "--json"]
+    )
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert out["rounds"] == [
+        {
+            "idyll": "ext:quot:GF(5)/{1,4}:1",
+            "terms": [{"deg": 0, "coef": "[1]^0"}, {"deg": 1, "coef": "[2]^1"}],
+        },
+        {"idyll": "quot:GF(5)/{1,4}", "terms": [{"deg": 0, "coef": "[1]"}]},
+    ]
+
+
 def test_degree_bound_subcommand(capsys):
     rc = main(
         ["degree-bound", "--idyll", "trop-real", "--poly", "1 - x + 1^1*x^2",

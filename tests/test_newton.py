@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from idylls.algebra import StructuralError, krasner, sign_idyll
+from idylls.algebra import StructuralError, krasner, quotient_hyperfield, sign_idyll
 from idylls.extension import ExtElement, signed_tropical, trop_extension, tropical
 from idylls.mult import root_candidates
 from idylls.newton import (
@@ -183,8 +183,18 @@ def test_rank2_rounds_resolve_one_coordinate_at_a_time():
 
 def test_rounds_agree_with_single_lex_argmin():
     rng = random.Random(21)
-    for rank in (2, 3):
-        E = tropical(rank)
+    # units come from their own stream, so the tropical draws stay those of
+    # the rank-2 and rank-3 cases before the signed and quotient bases joined
+    unit_rng = random.Random(22)
+    for E in (
+        tropical(2),
+        tropical(3),
+        signed_tropical(2),
+        signed_tropical(3),
+        trop_extension(quotient_hyperfield(5, (1, 4)), 2),
+    ):
+        rank = E.rank
+        units = [u for u in E.base.elements if not E.base.is_zero(u)]
         for _ in range(500):
             n = rng.randrange(1, 7)
             coeffs = []
@@ -193,7 +203,7 @@ def test_rounds_agree_with_single_lex_argmin():
                     coeffs.append(E.zero)
                 else:
                     lv = tuple(rng.randrange(-3, 4) for _ in range(rank))
-                    coeffs.append(E.elem(1, lv))
+                    coeffs.append(E.elem(unit_rng.choice(units), lv))
             f = Polynomial(E, coeffs)
             if f.degree < 0:
                 continue
@@ -213,6 +223,24 @@ def test_rounds_agree_with_single_lex_argmin():
             for a, b in zip(supports, supports[1:]):
                 assert set(b) <= set(a)
             assert supports[-1] == argmin
+            # round k: the prefix-k argmin, each term as (unit, level[k:]) over
+            # the rank - k extension; the last round is bare units over the base
+            assert len(rounds) == rank
+            for k, r in enumerate(rounds, 1):
+                low = min(v[:k] for v in shifted.values())
+                idx = [i for i, v in shifted.items() if v[:k] == low]
+                if k < rank:
+                    Ek = trop_extension(E.base, rank - k)
+                    terms = {
+                        i: Ek.elem(f.coeffs[i].unit, f.coeffs[i].level[k:])
+                        for i in idx
+                    }
+                else:
+                    Ek = E.base
+                    terms = {i: f.coeffs[i].unit for i in idx}
+                expected = [terms.get(i, Ek.zero) for i in range(max(idx) + 1)]
+                assert r == Polynomial(Ek, expected), (str(f), gamma, k)
+            assert rounds[-1].idyll is E.base
 
 
 def test_rounds_reject_twisted_extensions():
