@@ -15,20 +15,13 @@ used by divide_once finds it. The demo prints, for each witness, which
 coefficients sit above the dominant level.
 """
 
-from idylls import (
-    Polynomial,
-    divide_once,
-    factor_check,
-    multiplicity,
-    root_candidates,
-    signed_tropical,
-)
-
-TR = signed_tropical()
+from idylls import divide_once, factor_check, multiplicity, read_poly, root_candidates
+from idylls.oracle import PINNED_INSTANCES
 
 
 def main() -> int:
-    f = Polynomial(TR, [TR.elem(1, 0), TR.elem(-1, 0), TR.elem(1, 1)])
+    f = read_poly(*PINNED_INSTANCES["catalan quadratic"])
+    TR = f.idyll
     print(f"quadratic: {f}")
 
     found = {}

@@ -1,12 +1,12 @@
 """Root multiplicities: search engine, closed forms, and factorization lifting.
 
 Multiplicity of a root is the length of a longest chain of one-step
-divisions f -> g1 -> g2 -> ... where each step witnesses a factorization
-through `factor_check`. The search engine enumerates all quotients degree by
-degree; the closed forms shortcut the answer for idylls where the chain
-structure is understood. Over a tropical extension the two are tied together
-by initial forms, and `lift_factorization` upgrades any base-level witness
-to an extension-level witness with the prescribed initial form.
+divisions f -> g1 -> g2 -> ..., each step witnessed by `factor_check`. The
+search engine lists quotients degree by degree: all of them over a finite
+idyll or a field, over a tropical extension a finite subset enough for the
+chain length. Closed forms shortcut the answer where chains are understood.
+Initial forms tie the two together over an extension: `lift_factorization`
+turns a base-level witness into one whose initial form is that witness.
 """
 
 from __future__ import annotations

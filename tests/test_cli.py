@@ -11,6 +11,7 @@ from idylls import cli, oracle
 from idylls.algebra import ParseError, krasner, rational_field, sign_idyll
 from idylls.extension import signed_tropical, tropical
 from idylls.cli import DEMO_NAMES, build_parser, main, run_demo
+from idylls.mult import FactorizationChain
 from idylls.poly import (
     Polynomial,
     parse_idyll_name,
@@ -469,6 +470,21 @@ def test_wrong_pinned_value_fails_verify_and_demo(monkeypatch, capsys):
         out = capsys.readouterr().out
         assert rc == 3, argv
         assert "MISMATCH" in out, argv
+
+
+def test_a_chain_that_fails_verify_fails_every_mult_row(monkeypatch, capsys):
+    # a count is pinned only with its witness: the same numbers from chains
+    # that do not verify are mismatches
+    monkeypatch.setattr(FactorizationChain, "verify", lambda self: False)
+    for argv in (["verify"], ["demo", "descartes"]):
+        rc = main(argv)
+        mult_lines = [
+            line for line in capsys.readouterr().out.splitlines()
+            if " mult at " in line  # mult and initial mult rows
+        ]
+        assert rc == 3, argv
+        assert mult_lines, argv
+        assert all(line.lstrip().startswith("MISMATCH") for line in mult_lines), argv
 
 
 # -- exit codes ------------------------------------------------------------------------

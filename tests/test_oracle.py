@@ -30,7 +30,9 @@ from idylls.oracle import (
     DEMO_INTROS,
     DEMO_NAMES,
     PINNED_CHECKS,
+    PINNED_INSTANCES,
     OracleReport,
+    _QUERIES,
     _pools,
     bounded_extension_oracle,
     exhaustive_multiplicity,
@@ -79,6 +81,9 @@ def test_pinned_table_shape():
     names = [r.name for r in run_pinned_corpus()]
     assert len(names) == len(PINNED_CHECKS) + 1
     assert len(set(names)) == len(names)
+    # no orphan data: every instance and every query is read by some row
+    assert {row[1] for row in PINNED_CHECKS} == set(PINNED_INSTANCES)
+    assert {row[2] for row in PINNED_CHECKS} == set(_QUERIES)
 
 
 def test_exhaustive_multiplicity_literal_enumeration():
