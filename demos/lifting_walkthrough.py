@@ -2,17 +2,18 @@
 
 A root of the initial form is a shadow of a root of the full polynomial.
 The lift is constructive: starting from a division witness for the initial
-form over the base idyll, a staircase of corrections produces a witness
-for the full polynomial whose own initial form is exactly the base witness,
-placed at the right level. Iterating consumes one unit of multiplicity per
-step, so the chain length recovers the full count.
+form over the base idyll, here the sign rule's, a staircase of corrections
+produces a witness for the full polynomial whose own initial form is exactly
+the base witness, placed at the right level. Iterating consumes one unit of
+multiplicity per step, so the chain length recovers the full count.
 """
 
 from idylls import (
     Polynomial,
-    divide_once,
+    division_rule,
     factor_check,
     initial_form_at,
+    is_root,
     lift_factorization,
     multiplicity,
     signed_tropical,
@@ -39,11 +40,10 @@ def main() -> int:
     while True:
         inner, level = initial_form_at(cur, a)
         print(f"\nstep {step}: initial form {inner} at level {level[0]}")
-        quotients = divide_once(inner, a.unit)
-        if not quotients:
+        if not is_root(inner, a.unit):
             print("  no base witness left, chain ends")
             break
-        g = max(quotients, key=lambda q: multiplicity(q, a.unit)[0])
+        g = division_rule(inner, a.unit)
         print(f"  base witness: {g}")
         lifted = lift_factorization(cur, a, g)
         print(f"  lifted witness: {lifted}")

@@ -27,6 +27,7 @@ Each descriptor knows its own zero; formal sums drop zeros on construction.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -706,6 +707,10 @@ def padic_valuation(q, p: int) -> Optional[tuple]:
 EXHAUSTIVE_CARRIER = 16
 # null sums of up to this many terms are checked for ideal closure
 AXIOM_SUM_LEN = 4
+# a sampled pool tests every sum of a length with at most this many
+# multisets, and otherwise this many random draws
+NULL_SUM_DRAWS = 1000
+NULL_SUMS_PER_LEN = 50
 
 
 def check_idyll_axioms(B: Idyll) -> list:
@@ -746,15 +751,8 @@ def check_idyll_axioms(B: Idyll) -> list:
     else:
         epsilon_law = ["no epsilon: no declared unit e with e*e = 1 and 1 + e null"]
 
-    # ideal closure on sums up to AXIOM_SUM_LEN (unit scaling and additivity);
-    # a sampled pool keeps its first 200 null sums
-    sums = itertools.chain.from_iterable(
-        itertools.combinations_with_replacement(units, n)
-        for n in range(1, AXIOM_SUM_LEN + 1)
-    )
-    null_sums = list(
-        itertools.islice((s for s in sums if B.is_null(s)), None if exhaustive else 200)
-    )
+    # ideal closure on sums up to AXIOM_SUM_LEN (unit scaling and additivity)
+    null_sums = _null_sums(B, units, rng, exhaustive)
 
     laws = [
         ["zero equals one"] if B.is_zero(B.one) else [],
@@ -799,6 +797,26 @@ def check_idyll_axioms(B: Idyll) -> list:
         ),
     ]
     return [message for law in laws for message in itertools.islice(law, 1)]
+
+
+def _null_sums(B: Idyll, units: list, rng: random.Random, exhaustive: bool) -> list:
+    """The null sums of 1 to AXIOM_SUM_LEN units the closure laws test: all
+    of an exhaustive pool's; of a sampled pool's, up to NULL_SUMS_PER_LEN of
+    each length in an order drawn with rng, so every unit gets a share."""
+    lengths = range(1, AXIOM_SUM_LEN + 1)
+    if exhaustive:
+        sums = (itertools.combinations_with_replacement(units, n) for n in lengths)
+        return [s for s in itertools.chain.from_iterable(sums) if B.is_null(s)]
+    null_sums, positions = [], range(len(units))
+    for n in lengths:
+        if math.comb(len(units) + n - 1, n) <= NULL_SUM_DRAWS:  # all, shuffled
+            sums = list(itertools.combinations_with_replacement(units, n))
+            rng.shuffle(sums)
+        else:  # the distinct multisets among the draws, in the order first drawn
+            draws = (sorted(rng.choices(positions, k=n)) for _ in range(NULL_SUM_DRAWS))
+            sums = (tuple(units[i] for i in key) for key in dict.fromkeys(map(tuple, draws)))
+        null_sums += itertools.islice(filter(B.is_null, sums), NULL_SUMS_PER_LEN)
+    return null_sums
 
 
 def _inverse_failure(B: Idyll, a):

@@ -1,7 +1,7 @@
 """Command line front end.
 
 Subcommands cover the whole library surface: multiplicities (search and
-closed form), root enumeration, one-step division, witness lifting, Newton
+division rule), root enumeration, one-step division, witness lifting, Newton
 polygons and initial forms, the degree bound, the pinned verification
 corpus, the axiom harness, and a set of guided demos. Output is
 human-readable text by default and a stable JSON schema under --json.
@@ -29,9 +29,9 @@ from .mult import (
     degree_bound_check,
     divide_once,
     lift_factorization,
-    mult_closed_form,
     multiplicity,
     root_multiplicities,
+    rule_multiplicity,
 )
 from .newton import (
     initial_form_at,
@@ -97,13 +97,12 @@ def cmd_mult(args) -> int:
     B = f.idyll
     a = B.parse_element(args.at)
     engine = args.engine
-    want_search = engine in ("search", "both") or args.certificate
-    results = {}
-    chain = None
-    if want_search:
-        results["search"], chain = multiplicity(f, a)
+    counted = {}  # engine: (count, chain)
+    if engine in ("search", "both"):
+        counted["search"] = multiplicity(f, a)
     if engine in ("closed", "both"):
-        results["closed"] = mult_closed_form(f, a)
+        counted["closed"] = rule_multiplicity(f, a)
+    results = {name: m for name, (m, _) in counted.items()}
     if len(results) == 2 and results["search"] != results["closed"]:
         payload = {
             "poly": poly_json(f),
@@ -115,7 +114,7 @@ def cmd_mult(args) -> int:
             f"search {results['search']}, closed {results['closed']}"
         ])
         return 3
-    m = results.get("search", results.get("closed"))
+    m, chain = next(iter(counted.values()))  # the search's, when it ran
     payload = {
         "poly": poly_json(f),
         "at": B.format_element(a),
@@ -123,7 +122,7 @@ def cmd_mult(args) -> int:
         "engines": results,
     }
     lines = [f"mult of ({f}) at {B.format_element(a)} = {m}"]
-    if args.certificate and chain is not None:
+    if args.certificate:
         payload["certificate"] = chain_json(chain)
         lines.append("chain:")
         lines.append(f"  {f}")

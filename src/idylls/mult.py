@@ -1,12 +1,13 @@
-"""Root multiplicities: search engine, closed forms, and factorization lifting.
+"""Root multiplicities: search engine, division rules, and factorization lifting.
 
 Multiplicity of a root is the length of a longest chain of one-step
 divisions f -> g1 -> g2 -> ..., each step witnessed by `factor_check`. The
 search engine lists quotients degree by degree: all of them over a finite
 idyll or a field, over a tropical extension a finite subset enough for the
-chain length. Closed forms shortcut the answer where chains are understood.
-Initial forms tie the two together over an extension: `lift_factorization`
-turns a base-level witness into one whose initial form is that witness.
+chain length. Where chains are understood, `division_rule` builds one
+quotient by rule and `rule_multiplicity` chains it. Over an extension,
+`lift_factorization` turns a base witness for the initial form into one
+whose initial form is that witness: the base rule, lifted.
 """
 
 from __future__ import annotations
@@ -200,9 +201,7 @@ def multiplicity(f: Polynomial, a, cap: int = None) -> tuple:
     if f.is_zero:
         raise StructuralError("the zero polynomial has no multiplicity")
     if B.is_zero(a):
-        k = f.support[0]
-        quotients = tuple(f.shift_down(j) for j in range(1, k + 1))
-        return k, FactorizationChain(f, a, quotients)
+        return rule_multiplicity(f, a)
     budget = _budget(cap)
     m, quotients = _longest_chain(f, lambda g: divide_once(g, a, budget), {})
     return m, FactorizationChain(f, a, quotients)
@@ -231,60 +230,94 @@ def _longest_chain(poly: Polynomial, quotients_of, memo: dict) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# closed forms
+# division rules
 
 
-def _sign_changes(f: Polynomial) -> int:
-    seq = [f.coeffs[i] for i in f.support]
-    return sum(1 for x, y in zip(seq, seq[1:]) if x != y)
+def division_rule(f: Polynomial, a) -> Polynomial:
+    """One quotient of f at the root a, built by rule instead of searched.
+
+    At the zero point, f shifted down one degree; over Krasner, ones across
+    the support span; over signs, `_sign_quotient`; over Q and GF(p),
+    synthetic division; over a split extension of a whole base, the lift of
+    the base rule's quotient of the initial form at a. Raises StructuralError
+    where a is not a root, and UnsupportedOperationError over a twisted
+    extension or a base with no rule (quotient hyperfields, f1pm, phase)
+    before it tests the root.
+    """
+    g = _rule_quotient(f, a)
+    if g is None:
+        raise StructuralError(f"{f.idyll.format_element(a)} is not a root of {f}")
+    return g
 
 
-def _field_division_count(f: Polynomial, a) -> int:
-    B = f.idyll
-    count = 0
-    cur = list(f.coeffs)
-    while cur:
-        # synthetic division, top coefficient first; the last value is the remainder
-        acc, quot = B.zero, []
-        for c in reversed(cur):
-            (acc,) = B.sum_set(c, B.mul(a, acc))
-            quot.append(acc)
-        if not B.is_zero(quot.pop()):
-            break
-        count += 1
-        cur = quot[::-1]
-    return count
+def rule_multiplicity(f: Polynomial, a) -> tuple:
+    """Longest division chain at a, by rule: (count, chain).
+
+    Applies `division_rule` while a is still a root, one root test per
+    step. Each rule lowers the multiplicity by exactly one: over signs the
+    count is Descartes's, over a split extension that of the initial form
+    at a over the base (the lifting theorem).
+    """
+    if f.is_zero:
+        raise StructuralError("the zero polynomial has no multiplicity")
+    chain = [f]
+    while (g := _rule_quotient(chain[-1], a)) is not None:
+        chain.append(g)
+    return len(chain) - 1, FactorizationChain(f, a, tuple(chain[1:]))
 
 
 def mult_closed_form(f: Polynomial, a) -> int:
-    """Multiplicity via the structure theory, without search.
+    """The count of `rule_multiplicity`, without its chain."""
+    return rule_multiplicity(f, a)[0]
 
-    Dispatch: order of vanishing at 0; support width for trivial units; sign
-    changes for signed coefficients; exact division for fields; for a split
-    extension (the tropical numbers of any rank among them), the closed form
-    of the initial form at the level of a.
-    """
+
+def _rule_quotient(f: Polynomial, a):
+    """The quotient `division_rule` builds, or None where a is not a root."""
     B = f.idyll
     if not B.contains(a):
         raise ForeignElementError(f"{a!r} is not an element of {B.name}")
-    if f.is_zero:
-        raise StructuralError("the zero polynomial has no multiplicity")
-    if B.is_zero(a):
-        return f.support[0]
+    if f.is_zero or B.is_zero(a):
+        return f.shift_down(1) if B.is_zero(f.coeff(0)) else None
     if isinstance(B, KrasnerIdyll):
-        return f.support[-1] - f.support[0]
+        lo, hi = f.support[0], f.support[-1]
+        return Polynomial(B, [0] * lo + [1] * (hi - lo)) if hi > lo else None
     if isinstance(B, SignIdyll):
-        return _sign_changes(f if a == 1 else monomial_substitute(f, -1))
+        return _sign_quotient(f, a)
     if isinstance(B, (RationalFieldIdyll, FiniteFieldIdyll)):
-        return _field_division_count(f, a)
+        # synthetic division, top coefficient first; the last value is the remainder
+        acc, quot = B.zero, []
+        for c in reversed(f.coeffs):
+            (acc,) = B.sum_set(c, B.mul(a, acc))
+            quot.append(acc)
+        return Polynomial(B, quot[-2::-1]) if B.is_zero(quot[-1]) else None
     if isinstance(B, ExtensionDescriptor):
         if not B.is_split:
-            raise UnsupportedOperationError(
-                "closed form needs a split extension"
-            )
-        P, _ = initial_form_at(f, a)
-        return mult_closed_form(P, a.unit)
-    raise UnsupportedOperationError(f"no closed form for {B.name}")
+            raise UnsupportedOperationError("division rules need a split extension")
+        g = _rule_quotient(initial_form_at(f, a)[0], a.unit)
+        return None if g is None else lift_factorization(f, a, g)
+    raise UnsupportedOperationError(f"no division rule for {B.name}")
+
+
+def _sign_quotient(f: Polynomial, a: int):
+    """The sign rule's quotient at a = +1 or -1, or None with no sign change.
+
+    At +1: below the first sign change the quotient carries the opposite of
+    the leading run's sign; from there on, position i copies the sign of the
+    next supported coefficient above i. At -1 the rule runs on f(-x), and
+    `rescale_quotient` moves its quotient back.
+    """
+    if a == -1:
+        flipped = _sign_quotient(monomial_substitute(f, -1), 1)
+        return None if flipped is None else rescale_quotient(flipped, -1)
+    support = f.support
+    s0 = f.coeffs[support[0]]
+    change = next((p for p in support if f.coeffs[p] != s0), None)
+    if change is None:
+        return None
+    g = [0] * f.degree
+    for i in range(support[0], f.degree):
+        g[i] = -s0 if i < change else f.coeffs[min(p for p in support if p > i)]
+    return Polynomial(f.idyll, g)
 
 
 # ---------------------------------------------------------------------------

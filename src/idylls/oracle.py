@@ -6,14 +6,15 @@ witness: it picks quotient coefficients from the top degree down out of a
 finite pool per position, and keeps a choice only when the degree it
 completes, f_i + eps*d_(i-1) + a*d_i, is null. It never asks for a sum set.
 The pool is the whole carrier of a finite idyll; over an extension it holds
-every level `divide_once` can offer. The one-step witness rules move base
-rules by substitution; the tropical staircase lifts the span rule.
+every level `divide_once` can offer. The division rules themselves live in
+`idylls.mult` (`division_rule`).
 
 The pinned corpus is one table of the paper's worked examples: named
 instances (an idyll name, a polynomial literal and an optional prime, read
 by `read_poly` as the command line reads them) and the checks on them,
 read by `run_pinned_corpus` (`idylls verify`), by `idylls demo <group>`
-and by the demo scripts. A `mult` row counts only a chain that verifies.
+and by the demo scripts. A `mult` or `closed` row counts only a chain that
+verifies: the search chain or the rule chain.
 """
 
 from __future__ import annotations
@@ -35,11 +36,11 @@ from .mult import (
     _longest_chain,
     degree_bound_check,
     divide_once,
+    division_rule,
     is_root,
-    lift_factorization,
-    mult_closed_form,
     multiplicity,
     root_multiplicities,
+    rule_multiplicity,
 )
 from .newton import (
     initial_form_at,
@@ -48,14 +49,7 @@ from .newton import (
     newton_polygon,
 )
 from .oag import oag_add, oag_div, oag_scale, oag_sub, oag_zero, parse_oag_value
-from .poly import (
-    Polynomial,
-    factor_check,
-    monomial_substitute,
-    parse_poly,
-    read_poly,
-    rescale_quotient,
-)
+from .poly import Polynomial, factor_check, parse_poly, read_poly
 
 
 def quotient_level_grid(shifted: list) -> list:
@@ -171,55 +165,6 @@ def bounded_extension_oracle(f: Polynomial, a: ExtElement, cap: int = None):
 
 
 # ---------------------------------------------------------------------------
-# explicit one-step witness constructions
-
-
-def sign_division_witness(f: Polynomial, a: int) -> Polynomial:
-    """Quotient of a sign polynomial at a = +1 or -1, built by rule.
-
-    At +1: below the first sign change the quotient carries the opposite of
-    the leading run's sign; from there on, position i copies the sign of the
-    next supported coefficient above i. At -1 the rule runs on f(-x), and
-    `rescale_quotient` moves its quotient back. Needs a sign change (a root).
-    """
-    S = f.idyll
-    if a == -1:
-        flipped = sign_division_witness(monomial_substitute(f, -1), 1)
-        return rescale_quotient(flipped, -1)
-    support = f.support
-    s0 = f.coeffs[support[0]]
-    changes = [p for p in support if f.coeffs[p] != s0]
-    if not changes:
-        raise StructuralError("no sign change, so no quotient at +1")
-    i0 = max(p for p in support if p < changes[0])
-    n = f.degree
-    g = [0] * n
-    for i in range(support[0], i0 + 1):
-        g[i] = -s0
-    for i in range(i0 + 1, n):
-        nxt = min(p for p in support if p > i)
-        g[i] = f.coeffs[nxt]
-    return Polynomial(S, g)
-
-
-def tropical_division_witness(f: Polynomial, a: ExtElement) -> Polynomial:
-    """Quotient of a trivial-unit tropical polynomial at a nonzero root.
-
-    The lift of the Krasner span rule (ones across the support span of the
-    initial form at a): two staircases on the levels w_i of f(a*x), running
-    minima up to the last index achieving min(w) and suffix minima after it.
-    """
-    E = f.idyll
-    if E.base.kind != "krasner":
-        raise UnsupportedOperationError("the staircase rule needs trivial units")
-    span = initial_form_at(f, a)[0].support
-    if len(span) < 2:
-        raise StructuralError(f"{E.format_element(a)} is not a root of {f}")
-    ones = [0] * span[0] + [1] * (span[-1] - span[0])
-    return lift_factorization(f, a, Polynomial(E.base, ones))
-
-
-# ---------------------------------------------------------------------------
 # pinned corpus
 
 _CUBIC = "72 - 6x - 7x^2 + x^3"  # rational roots -3, 4, 6
@@ -331,25 +276,25 @@ def _is_root(f: Polynomial, *points):
     return found if len(found) > 1 else found[0]
 
 
-def _mult(f: Polynomial, a):
-    """The search multiplicity of f at a, counted only if its chain verifies."""
-    m, chain = multiplicity(f, a)
+def _witnessed(engine, f: Polynomial, a):
+    """engine's multiplicity of f at a, counted only if its chain verifies."""
+    m, chain = engine(f, a)
     return m if chain.verify() else "a chain that fails verify()"
 
 
 def _staircase(f: Polynomial, a) -> tuple:
     """Is the staircase quotient at a a witness, and by how much does mult drop?"""
-    w = tropical_division_witness(f, a)
+    w = division_rule(f, a)
     return factor_check(f, a, w), multiplicity(f, a)[0] - multiplicity(w, a)[0]
 
 
 # query: the library call it stands for, on the instance and the point literals
 _QUERIES = {
-    "mult": lambda f, a: _mult(f, _at(f, a)),
-    "initial mult": lambda f, a: _mult(  # the initial form of f at a, at a's unit
-        initial_form_at(f, _at(f, a))[0], _at(f, a).unit
+    "mult": lambda f, a: _witnessed(multiplicity, f, _at(f, a)),
+    "initial mult": lambda f, a: _witnessed(  # the initial form of f at a, at a's unit
+        multiplicity, initial_form_at(f, _at(f, a))[0], _at(f, a).unit
     ),
-    "closed": lambda f, a: mult_closed_form(f, _at(f, a)),
+    "closed": lambda f, a: _witnessed(rule_multiplicity, f, _at(f, a)),
     "exhaustive": lambda f, a: exhaustive_multiplicity(f, _at(f, a)),
     "slopes": lambda f: list(newton_polygon(f).edge_slopes),
     "widths": lambda f: [e.width for e in newton_polygon(f).edges],
@@ -369,7 +314,7 @@ _QUERIES = {
     "is_root": _is_root,
     "divides": lambda f, a: bool(divide_once(f, _at(f, a))),
     "factor_check": lambda f, a, g: factor_check(f, _at(f, a), parse_poly(g, f.idyll)),
-    "sign rule": lambda f, a: str(sign_division_witness(f, _at(f, a))),
+    "sign rule": lambda f, a: str(division_rule(f, _at(f, a))),
     "staircase": lambda f, a: _staircase(f, _at(f, a))[0],
     "staircase drop": lambda f, a: _staircase(f, _at(f, a))[1],
 }

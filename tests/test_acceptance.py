@@ -29,6 +29,7 @@ from idylls.algebra import check_idyll_axioms
 from idylls.mult import (
     degree_bound_check,
     divide_once,
+    division_rule,
     is_root,
     lift_factorization,
     mult_closed_form,
@@ -40,8 +41,6 @@ from idylls.oag import oag_sub
 from idylls.oracle import (
     bounded_extension_oracle,
     exhaustive_multiplicity,
-    sign_division_witness,
-    tropical_division_witness,
 )
 from idylls.poly import Polynomial, factor_check, sign_of_poly, trop_of_rational
 
@@ -285,8 +284,8 @@ def test_pinned_identities_and_constructions():
     assert factor_check(f3, 1, g3)
 
     # the constructions reproduce those witnesses and always decrement
-    assert sign_division_witness(f2, -1) == g2
-    assert sign_division_witness(f3, 1) == g3
+    assert division_rule(f2, -1) == g2
+    assert division_rule(f3, 1) == g3
     rng = random.Random(12)
     tried = 0
     while tried < 100:
@@ -298,7 +297,7 @@ def test_pinned_identities_and_constructions():
             m, _ = multiplicity(f, a)
             if m == 0:
                 continue
-            g = sign_division_witness(f, a)
+            g = division_rule(f, a)
             assert factor_check(f, a, g)
             assert multiplicity(g, a)[0] == m - 1
             tried += 1
@@ -311,7 +310,7 @@ def test_pinned_identities_and_constructions():
             m, _ = multiplicity(f, a)
             if m == 0:
                 continue
-            g = tropical_division_witness(f, a)
+            g = division_rule(f, a)
             assert factor_check(f, a, g)
             assert multiplicity(g, a)[0] == m - 1
             tried += 1

@@ -1,13 +1,16 @@
 """Nullity rules, sum sets, and axioms across the idyll catalog."""
 
 import itertools
+import random
 import re
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from idylls import algebra
 from idylls.algebra import (
     FiniteFieldIdyll,
     FormalSum,
@@ -28,7 +31,7 @@ from idylls.algebra import (
     sign_of_rational,
     padic_valuation,
 )
-from idylls.extension import EXT_ZERO, tropical
+from idylls.extension import EXT_ZERO, signed_tropical, tropical
 from idylls.oag import oag
 
 K = krasner()
@@ -522,6 +525,26 @@ def test_axiom_harness_samples_large_finite_carriers(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_axiom_harness_draws_null_sums_of_every_length(monkeypatch):
+    # a sampled pool's null sums spread over the sum lengths and the pool;
+    # over trop-real:rank-2 the first 200 in enumeration order had no four-term sum
+    E = signed_tropical(2)
+    kept = []
+
+    def recording(*args):
+        kept.extend(draw(*args))
+        return kept
+
+    draw = algebra._null_sums
+    monkeypatch.setattr(algebra, "_null_sums", recording)
+    assert check_idyll_axioms(E) == []
+    lengths = Counter(len(s) for s in kept)
+    assert lengths[4] == algebra.NULL_SUMS_PER_LEN
+    assert lengths[2] > 0 and lengths[3] > 0
+    pool = E.sample_elements(random.Random(0))  # the pool the harness draws first
+    assert {x for s in kept for x in s} == {x for x in pool if not x.is_zero}
 
 
 def test_axiom_harness_flags_a_missing_epsilon():

@@ -285,6 +285,30 @@ def test_mult_certificate_lists_chain(capsys):
     assert len(cert["quotients"]) == 2
 
 
+def test_closed_certificate_is_the_rule_chain(capsys):
+    # the search cannot answer over Q's extension (its sum sets have tails
+    # over infinitely many units); the rule chain is the certificate
+    rc = main(
+        ["mult", "--idyll", "ext:field:Q:1", "--poly", "-2^1 - 3^-1*x + 2^-1*x^2",
+         "--at", "3/2^0", "--engine", "closed", "--certificate", "--json"]
+    )
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert out["engines"] == {"closed": 1}
+    assert out["certificate"]["length"] == 1 and out["certificate"]["verified"]
+    # over signs the two chains differ in their first quotient
+    first = {}
+    for engine in ("closed", "both"):
+        rc = main(
+            ["mult", "--idyll", "sign", "--poly", "1 - x - x^2 + x^3", "--at", "1",
+             "--engine", engine, "--certificate", "--json"]
+        )
+        cert = json.loads(capsys.readouterr().out)["certificate"]
+        assert rc == 0 and cert["verified"]
+        first[engine] = [t["coef"] for t in cert["quotients"][0]["terms"]]
+    assert first == {"closed": ["-1", "-1", "1"], "both": ["-1", "1", "1"]}
+
+
 def test_mult_with_prime_pipeline(capsys):
     rc = main(
         ["mult", "--idyll", "trop", "--poly", "72 - 6*x - 7*x^2 + x^3",
@@ -298,7 +322,7 @@ def test_mult_with_prime_pipeline(capsys):
 def test_engine_disagreement_exits_3(monkeypatch, capsys):
     import idylls.cli as cli_mod
 
-    monkeypatch.setattr(cli_mod, "mult_closed_form", lambda f, a: 99)
+    monkeypatch.setattr(cli_mod, "rule_multiplicity", lambda f, a: (99, None))
     rc = main(
         ["mult", "--idyll", "sign", "--poly", "1 - x", "--at", "1",
          "--engine", "both"]
@@ -476,15 +500,17 @@ def test_a_chain_that_fails_verify_fails_every_mult_row(monkeypatch, capsys):
     # a count is pinned only with its witness: the same numbers from chains
     # that do not verify are mismatches
     monkeypatch.setattr(FactorizationChain, "verify", lambda self: False)
-    for argv in (["verify"], ["demo", "descartes"]):
+    for argv, closed_rows in ((["verify"], 5), (["demo", "descartes"], 2)):
         rc = main(argv)
-        mult_lines = [
-            line for line in capsys.readouterr().out.splitlines()
-            if " mult at " in line  # mult and initial mult rows
-        ]
+        lines = capsys.readouterr().out.splitlines()
+        mult_lines = [line for line in lines if " mult at " in line]  # and initial mult
+        closed_lines = [line for line in lines if " closed at " in line]
         assert rc == 3, argv
         assert mult_lines, argv
-        assert all(line.lstrip().startswith("MISMATCH") for line in mult_lines), argv
+        assert len(closed_lines) == closed_rows, argv
+        assert all(
+            line.lstrip().startswith("MISMATCH") for line in mult_lines + closed_lines
+        ), argv
 
 
 # -- exit codes ------------------------------------------------------------------------

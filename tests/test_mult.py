@@ -1,4 +1,4 @@
-"""The multiplicity search engine, closed forms, and the lifting pipeline."""
+"""The multiplicity search engine, division rules, and the lifting pipeline."""
 
 import gc
 import itertools
@@ -21,20 +21,28 @@ from idylls.algebra import (
     sign_idyll,
     sign_of_rational,
 )
-from idylls.extension import EXT_ZERO, signed_tropical, tropical, trop_extension
+from idylls.extension import (
+    EXT_ZERO,
+    ExtensionDescriptor,
+    signed_tropical,
+    tropical,
+    trop_extension,
+)
 from idylls.mult import (
     FactorizationChain,
     SearchCapExceeded,
     degree_bound_check,
     divide_once,
+    division_rule,
     is_root,
     lift_factorization,
     mult_closed_form,
     multiplicity,
     root_candidates,
     root_multiplicities,
+    rule_multiplicity,
 )
-from idylls.newton import initial_form_at
+from idylls.newton import initial_form_at, root_levels
 from idylls.oag import oag
 from idylls.oracle import (
     bounded_extension_oracle,
@@ -256,6 +264,87 @@ def test_closed_form_extension_recurses_into_initial_form():
 def test_closed_form_rejects_zero_polynomial():
     with pytest.raises(StructuralError):
         mult_closed_form(Polynomial(S, []), 1)
+
+
+def test_division_rule_refuses_where_it_has_no_rule():
+    # a twisted extension and a base with no rule refuse before any root
+    # test, so a non-root gets the same error as a root
+    twisted = trop_extension(S, 1, cocycle=lambda g1, g2: 1, name="twisted")
+    f = Polynomial(twisted, [twisted.elem(1, 0), twisted.elem(-1, 0)])
+    Q54 = quotient_hyperfield(5, frozenset({1, 4}))
+    g = parse_poly("1 + x^2", Q54)
+    cases = ((f, (twisted.elem(1, 0), twisted.elem(1, 5))), (g, Q54.elements[1:]))
+    for poly, points in cases:
+        for a in points:
+            for call in (division_rule, rule_multiplicity):
+                with pytest.raises(UnsupportedOperationError):
+                    call(poly, a)
+    with pytest.raises(StructuralError, match="-1 is not a root"):
+        division_rule(Polynomial(S, [1, -1]), -1)
+
+
+def _random_poly(rng, B, degree):
+    """A nonzero-topped polynomial over B, about a quarter of the lower
+    coefficients zero; extension levels are integers in [-2, 2]."""
+    if isinstance(B, ExtensionDescriptor):
+        units = [u for u in B.base.elements if not B.base.is_zero(u)]
+
+        def unit():
+            level = tuple(rng.randint(-2, 2) for _ in range(B.rank))
+            return B.elem(rng.choice(units), level)
+    elif B.elements is None:  # the rationals
+        def unit():
+            return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2]))
+    else:
+        units = [u for u in B.elements if not B.is_zero(u)]
+
+        def unit():
+            return rng.choice(units)
+
+    lower = [B.zero if rng.random() < 0.25 else unit() for _ in range(degree)]
+    return Polynomial(B, lower + [unit()])
+
+
+@pytest.mark.parametrize("name", [
+    "krasner", "sign", "field:GF(5)", "field:Q", "trop", "trop-real",
+    "trop:rank-2", "trop-real:rank-2", "ext:field:GF(5):1",
+])
+def test_rule_chain_matches_the_search(name):
+    B = parse_idyll_name(name)
+    rng = random.Random(f"rule sweep {name}")
+    pairs = roots = 0
+    while pairs < 600:
+        f = _random_poly(rng, B, rng.randint(1, 4))
+        for a in root_candidates(f):
+            m, chain = rule_multiplicity(f, a)
+            assert chain.verify() and chain.length == m, (str(f), B.format_element(a))
+            assert m == multiplicity(f, a)[0], (str(f), B.format_element(a))
+            pairs += 1
+            roots += m > 0
+    assert roots > 40, name
+
+
+def test_rule_chain_over_the_rationals_extension_is_the_initial_form_count():
+    # the search cannot answer here (a sum set with a tail offers infinitely
+    # many units); the lifting theorem says the multiplicity is that of the
+    # initial form over Q at the unit of the point
+    E = parse_idyll_name("ext:field:Q:1")
+    rng = random.Random(1)
+    roots = 0
+    for _ in range(150):
+        f = Polynomial(E, [
+            E.elem(Fraction(rng.choice([1, -1, 2, -2, 3])), rng.randint(-2, 2))
+            for _ in range(rng.randint(2, 5))
+        ])
+        for level in root_levels(f):
+            P, _ = initial_form_at(f, E.elem(1, level))
+            for u in [c for c in root_candidates(P) if c != 0] + [Fraction(7)]:
+                a = E.elem(u, level)
+                m, chain = rule_multiplicity(f, a)
+                assert chain.verify() and chain.length == m, (str(f), E.format_element(a))
+                assert m == multiplicity(P, u)[0], (str(f), E.format_element(a))
+                roots += m > 0
+    assert roots > 100
 
 
 def test_search_matches_exhaustive_on_all_small_sign_polys():

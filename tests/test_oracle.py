@@ -21,6 +21,7 @@ from idylls.mult import (
     _longest_chain,
     _tail_pool,
     divide_once,
+    division_rule,
     mult_closed_form,
     multiplicity,
     root_candidates,
@@ -38,8 +39,6 @@ from idylls.oracle import (
     exhaustive_multiplicity,
     exhaustive_root_set,
     run_pinned_corpus,
-    sign_division_witness,
-    tropical_division_witness,
 )
 from idylls.poly import (
     Polynomial,
@@ -231,10 +230,10 @@ def test_oracle_pool_holds_every_engine_offer(B):
 
 def test_sign_witness_reproduces_pinned_quotients():
     f = Polynomial(S, [1, -1, 1, -1, -1, -1, 1])
-    g = sign_division_witness(f, -1)
+    g = division_rule(f, -1)
     assert g == Polynomial(S, [1, -1, 1, -1, -1, 1])
     h = Polynomial(S, [1, 1, 1, -1, 1, -1])
-    w = sign_division_witness(h, 1)
+    w = division_rule(h, 1)
     assert w == Polynomial(S, [-1, -1, -1, 1, -1])
 
 
@@ -250,7 +249,7 @@ def test_sign_witness_is_valid_and_decrements():
             m = mult_closed_form(f, a)
             if m == 0:
                 continue
-            g = sign_division_witness(f, a)
+            g = division_rule(f, a)
             tried += 1
             assert factor_check(f, a, g), (f, a)
             assert mult_closed_form(g, a) == m - 1, (f, a, g)
@@ -263,7 +262,7 @@ def test_sign_witness_is_valid_and_decrements():
 def test_tropical_witness_pinned_case():
     f = Polynomial(T, [T.elem(1, 2), T.elem(1, 1), T.elem(1, 0), T.elem(1, 0)])
     a = T.elem(1, 1)
-    g = tropical_division_witness(f, a)
+    g = division_rule(f, a)
     assert factor_check(f, a, g)
     assert mult_closed_form(g, a) == mult_closed_form(f, a) - 1
 
@@ -286,17 +285,34 @@ def test_tropical_witness_random_decrement():
             m = mult_closed_form(f, a)
             if m == 0:
                 continue
-            g = tropical_division_witness(f, a)
+            g = division_rule(f, a)
             tried += 1
             assert factor_check(f, a, g), (f, T.format_element(a))
             assert mult_closed_form(g, a) == m - 1
     assert tried > 60
 
 
-def test_tropical_witness_needs_trivial_units():
-    f = Polynomial(TR, [TR.elem(1, 0), TR.elem(-1, 0)])
-    with pytest.raises(UnsupportedOperationError):
-        tropical_division_witness(f, TR.elem(1, 0))
+def test_signed_tropical_rule_decrements_the_search_count():
+    # over signed tropical numbers the rule is the lifted sign rule
+    rng = random.Random(14)
+    for E in (TR, signed_tropical(2)):
+        tried = 0
+        while tried < 60:
+            deg = rng.randrange(1, 5)
+            coeffs = [
+                E.elem(rng.choice([1, -1]), tuple(rng.choices(range(-2, 3), k=E.rank)))
+                if i == deg or rng.random() > 0.25 else E.zero
+                for i in range(deg + 1)
+            ]
+            f = Polynomial(E, coeffs)
+            for a in root_candidates(f):
+                m = multiplicity(f, a)[0]
+                if a.is_zero or m == 0:
+                    continue
+                g = division_rule(f, a)
+                tried += 1
+                assert factor_check(f, a, g), (str(f), E.format_element(a))
+                assert multiplicity(g, a)[0] == m - 1, (str(f), E.format_element(a))
 
 
 def test_tropical_witness_refuses_a_non_root():
@@ -306,7 +322,7 @@ def test_tropical_witness_refuses_a_non_root():
         a = T.parse_element(point)
         message = f"{T.format_element(a)} is not a root"
         with pytest.raises(StructuralError, match=message):
-            tropical_division_witness(f, a)
+            division_rule(f, a)
 
 
 def _least(levels):
@@ -376,7 +392,7 @@ def test_staircase_lift_equals_the_two_staircase_rule():
             for a in root_candidates(f):
                 if a.is_zero:
                     continue
-                assert tropical_division_witness(f, a) == _two_staircase_witness(f, a)
+                assert division_rule(f, a) == _two_staircase_witness(f, a)
                 points += 1
 
 
