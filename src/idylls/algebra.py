@@ -169,6 +169,11 @@ class Idyll:
     def contains(self, x) -> bool:
         raise NotImplementedError
 
+    def require(self, x) -> None:
+        """Raise ForeignElementError unless x is an element of this idyll."""
+        if not self.contains(x):
+            raise ForeignElementError(f"{x!r} is not an element of {self.name}")
+
     def is_zero(self, x) -> bool:
         raise NotImplementedError
 
@@ -667,9 +672,8 @@ def is_null(B: Idyll, s) -> bool:
 
 def sum_set(B: Idyll, a, b) -> SumSet:
     """{c : a + b - c is null}; exact, possibly with an infinite upper tail."""
-    for x in (a, b):
-        if not B.contains(x):
-            raise ForeignElementError(f"{x!r} is not an element of {B.name}")
+    B.require(a)
+    B.require(b)
     return B.sum_set(a, b)
 
 

@@ -4,10 +4,11 @@ Multiplicity of a root is the length of a longest chain of one-step
 divisions f -> g1 -> g2 -> ..., each step witnessed by `factor_check`. The
 search engine lists quotients degree by degree: all of them over a finite
 idyll or a field, over a tropical extension a finite subset enough for the
-chain length. Where chains are understood, `division_rule` builds one
-quotient by rule and `rule_multiplicity` chains it. Over an extension,
-`lift_factorization` turns a base witness for the initial form into one
-whose initial form is that witness: the base rule, lifted.
+chain length. Where chains are understood, `rule_multiplicity` builds one
+by rule and `division_rule` is its first step: the point moves to one once
+per query (`normalise`), each step applies the base's rule there, and each
+quotient moves back once. Over a split extension the rule is the base's on
+the initial form, lifted by the lift body that `lift_factorization` runs.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from fractions import Fraction
 
 from .algebra import (
     FiniteFieldIdyll,
-    ForeignElementError,
     KrasnerIdyll,
     RationalFieldIdyll,
     SignIdyll,
@@ -29,12 +29,13 @@ from .algebra import (
 )
 from .extension import EXT_ZERO, ExtElement, ExtensionDescriptor
 from .newton import initial_form_at, root_levels, shifted_levels
-from .oag import oag_add, oag_div, oag_scale, oag_sub, oag_zero
+from .oag import oag_add, oag_div, oag_scale, oag_sub
 from .poly import (
     Polynomial,
+    denormalise_quotient,
     eval_sum,
     factor_check,
-    monomial_substitute,
+    normalise,
     rescale_quotient,
 )
 
@@ -105,8 +106,7 @@ def is_root(f: Polynomial, a) -> bool:
     is what gets tested; otherwise a witness search runs.
     """
     B = f.idyll
-    if not B.contains(a):
-        raise ForeignElementError(f"{a!r} is not an element of {B.name}")
+    B.require(a)
     if f.is_zero:
         return True
     if B.is_whole:
@@ -132,8 +132,7 @@ def divide_once(f: Polynomial, a, cap: int = None) -> list:
     its own budget for the whole chain.
     """
     B = f.idyll
-    if not B.contains(a):
-        raise ForeignElementError(f"{a!r} is not an element of {B.name}")
+    B.require(a)
     if f.is_zero:
         return [f]
     if f.degree == 0:
@@ -196,8 +195,7 @@ def multiplicity(f: Polynomial, a, cap: int = None) -> tuple:
     summed over every division step of the chain search.
     """
     B = f.idyll
-    if not B.contains(a):
-        raise ForeignElementError(f"{a!r} is not an element of {B.name}")
+    B.require(a)
     if f.is_zero:
         raise StructuralError("the zero polynomial has no multiplicity")
     if B.is_zero(a):
@@ -236,15 +234,12 @@ def _longest_chain(poly: Polynomial, quotients_of, memo: dict) -> tuple:
 def division_rule(f: Polynomial, a) -> Polynomial:
     """One quotient of f at the root a, built by rule instead of searched.
 
-    At the zero point, f shifted down one degree; over Krasner, ones across
-    the support span; over signs, `_sign_quotient`; over Q and GF(p),
-    synthetic division; over a split extension of a whole base, the lift of
-    the base rule's quotient of the initial form at a. Raises StructuralError
-    where a is not a root, and UnsupportedOperationError over a twisted
-    extension or a base with no rule (quotient hyperfields, f1pm, phase)
-    before it tests the root.
+    At the zero point, f shifted down one degree; elsewhere the first step
+    of `rule_multiplicity`'s chain. Raises StructuralError where a is not a
+    root, and UnsupportedOperationError over a twisted extension or a base
+    with no rule (quotient hyperfields, f1pm, phase) before it tests the root.
     """
-    g = _rule_quotient(f, a)
+    g = next(_rule_quotients(f, a), None)
     if g is None:
         raise StructuralError(f"{f.idyll.format_element(a)} is not a root of {f}")
     return g
@@ -253,17 +248,15 @@ def division_rule(f: Polynomial, a) -> Polynomial:
 def rule_multiplicity(f: Polynomial, a) -> tuple:
     """Longest division chain at a, by rule: (count, chain).
 
-    Applies `division_rule` while a is still a root, one root test per
+    Applies `_quotient_at_one` while a is still a root, one root test per
     step. Each rule lowers the multiplicity by exactly one: over signs the
-    count is Descartes's, over a split extension that of the initial form
-    at a over the base (the lifting theorem).
+    count is Descartes's, over a split extension that of the initial form at
+    a over the base (the lifting theorem).
     """
     if f.is_zero:
         raise StructuralError("the zero polynomial has no multiplicity")
-    chain = [f]
-    while (g := _rule_quotient(chain[-1], a)) is not None:
-        chain.append(g)
-    return len(chain) - 1, FactorizationChain(f, a, tuple(chain[1:]))
+    quotients = tuple(_rule_quotients(f, a))
+    return len(quotients), FactorizationChain(f, a, quotients)
 
 
 def mult_closed_form(f: Polynomial, a) -> int:
@@ -271,44 +264,64 @@ def mult_closed_form(f: Polynomial, a) -> int:
     return rule_multiplicity(f, a)[0]
 
 
-def _rule_quotient(f: Polynomial, a):
-    """The quotient `division_rule` builds, or None where a is not a root."""
+def _rule_quotients(f: Polynomial, a):
+    """The quotients of the rule chain f -> q1 -> q2 -> ... at a, lazily.
+
+    Each step divides F = q(a*x)/r at one. Its quotient G maps back to the
+    next q = r*G(x/a)/a, whose frame is then G/u with r*u/a, for u the unit
+    of a (a itself outside an extension): no substitution after the first.
+    """
     B = f.idyll
-    if not B.contains(a):
-        raise ForeignElementError(f"{a!r} is not an element of {B.name}")
+    B.require(a)
     if f.is_zero or B.is_zero(a):
-        return f.shift_down(1) if B.is_zero(f.coeff(0)) else None
+        # at the zero point, f shifted down; the zero polynomial divides itself
+        while B.is_zero(f.coeff(0)):
+            f = f.shift_down(1)
+            yield f
+        return
+    F, r = normalise(f, a)
+    u = ExtElement(a.unit, B.one.level) if isinstance(B, ExtensionDescriptor) else a
+    while (G := _quotient_at_one(F)) is not None:
+        yield denormalise_quotient(G, a, r)
+        F, r = G.scale(B.inv(u)), B.mul(r, B.mul(u, B.inv(a)))
+
+
+def _quotient_at_one(F: Polynomial):
+    """The rule's quotient of F at one, or None where one is not a root.
+
+    Over Krasner, ones across the support span; over signs, `_sign_quotient`;
+    over Q and GF(p), synthetic division; over a split extension of a whole
+    base, the base rule on the level-0 units, lifted by `_lift_at_one`.
+    """
+    B = F.idyll
     if isinstance(B, KrasnerIdyll):
-        lo, hi = f.support[0], f.support[-1]
+        lo, hi = F.support[0], F.support[-1]
         return Polynomial(B, [0] * lo + [1] * (hi - lo)) if hi > lo else None
     if isinstance(B, SignIdyll):
-        return _sign_quotient(f, a)
+        return _sign_quotient(F)
     if isinstance(B, (RationalFieldIdyll, FiniteFieldIdyll)):
         # synthetic division, top coefficient first; the last value is the remainder
         acc, quot = B.zero, []
-        for c in reversed(f.coeffs):
-            (acc,) = B.sum_set(c, B.mul(a, acc))
+        for c in reversed(F.coeffs):
+            (acc,) = B.sum_set(c, acc)
             quot.append(acc)
         return Polynomial(B, quot[-2::-1]) if B.is_zero(quot[-1]) else None
     if isinstance(B, ExtensionDescriptor):
         if not B.is_split:
             raise UnsupportedOperationError("division rules need a split extension")
-        g = _rule_quotient(initial_form_at(f, a)[0], a.unit)
-        return None if g is None else lift_factorization(f, a, g)
+        # F's level-0 units, its initial form at one
+        g = _quotient_at_one(Polynomial(B.base, map(B.ev0, F.coeffs)))
+        return None if g is None else _lift_at_one(F, g)
     raise UnsupportedOperationError(f"no division rule for {B.name}")
 
 
-def _sign_quotient(f: Polynomial, a: int):
-    """The sign rule's quotient at a = +1 or -1, or None with no sign change.
+def _sign_quotient(f: Polynomial):
+    """The sign rule's quotient at +1, or None with no sign change.
 
-    At +1: below the first sign change the quotient carries the opposite of
-    the leading run's sign; from there on, position i copies the sign of the
-    next supported coefficient above i. At -1 the rule runs on f(-x), and
-    `rescale_quotient` moves its quotient back.
+    Below the first sign change the quotient carries the opposite of the
+    leading run's sign; from there on, position i copies the sign of the
+    next supported coefficient above i.
     """
-    if a == -1:
-        flipped = _sign_quotient(monomial_substitute(f, -1), 1)
-        return None if flipped is None else rescale_quotient(flipped, -1)
     support = f.support
     s0 = f.coeffs[support[0]]
     change = next((p for p in support if f.coeffs[p] != s0), None)
@@ -324,26 +337,48 @@ def _sign_quotient(f: Polynomial, a: int):
 # lifting
 
 
+def _lift_at_one(F: Polynomial, g: Polynomial) -> Polynomial:
+    """A quotient of F at one whose level-0 units are exactly g.
+
+    F comes from `normalise` over a split extension of a whole base, and g
+    is a quotient at one of its level-0 units, so g starts where they do (no
+    nonzero singleton is null). The quotient is assembled in three zones: a
+    left run below g, solved upward from the constant term; g at level 0;
+    and the gaps between g's terms and the right run above them, each solved
+    downward from a zero at its top. All synthesized entries sit at strictly
+    positive levels, so they never disturb the minimal layer.
+    """
+    E = F.idyll
+    i0 = g.support[0]
+    d = [EXT_ZERO] * (F.degree + 1)
+    # left run; each choice keeps factor_check at its index: F_i - d_(i-1) +
+    # d_i is null, so d_i is minus a sum of F_i and -d_(i-1)
+    for i in range(i0):
+        s = E.sum_set(F.coeff(i), E.mul(E.epsilon, d[i - 1] if i else EXT_ZERO))
+        d[i] = min((E.mul(E.epsilon, c) for c in s.core), key=E.sort_key)
+    # from the top down: g at level 0, and each gap's top (d_n among them)
+    # left at zero, so only the entries below a gap's top are solved
+    for i in range(F.degree - 1, i0 - 1, -1):
+        if not E.base.is_zero(g.coeff(i)):
+            d[i] = ExtElement(g.coeffs[i], E.one.level)
+        elif E.base.is_zero(g.coeff(i + 1)):
+            d[i] = min(E.sum_set(F.coeff(i + 1), d[i + 1]).core, key=E.sort_key)
+    return Polynomial(E, d)
+
+
 def lift_factorization(f: Polynomial, a: ExtElement, g: Polynomial) -> Polynomial:
     """Lift a base-level division witness for the initial form of f at a.
 
     Given factor_check(P, u, g) over the base, where (P, g0) is the initial
     form of f at a = (u, g1), produce gt over the extension with
     factor_check(f, a, gt) and initial form exactly (g, g0 - g1) at a. Works
-    for split extensions over whole bases.
-
-    The construction normalizes f to F = f(a x) / (1, g0), whose minimal
-    levels sit at level 0 with units matching P twisted by powers of u. The
-    quotient of F at the point (1, 0) is then assembled in three zones:
-    prescribed level-0 units from g moved to 1 by `rescale_quotient` across
-    the span of P, a left run solved upward from the constant term, and the
-    gaps above it, the right run last, each solved downward. All synthesized
-    entries sit at strictly positive levels, so they never disturb the
-    minimal layer.
+    for split extensions over whole bases. It runs the rule chain's lift,
+    `_lift_at_one`, on f and g moved to one.
     """
     E = f.idyll
     if not isinstance(E, ExtensionDescriptor):
         raise StructuralError("lifting needs an extension idyll")
+    E.require(a)
     if not E.is_split:
         raise UnsupportedOperationError("lifting needs a split extension")
     if not E.base.is_whole:
@@ -354,59 +389,15 @@ def lift_factorization(f: Polynomial, a: ExtElement, g: Polynomial) -> Polynomia
         raise StructuralError("lifting needs a polynomial of positive degree")
     if g.idyll != E.base:
         raise StructuralError("the witness must live over the base idyll")
-    base = E.base
-    u = a.unit
-    P, g0 = initial_form_at(f, a)
-    if not factor_check(P, u, g):
+    F, r = normalise(f, a)
+    gu = rescale_quotient(g, a.unit)
+    if not factor_check(Polynomial(E.base, map(E.ev0, F.coeffs)), E.base.one, gu):
         raise StructuralError("the witness does not divide the initial form")
-
-    n = f.degree
-    zero_level = oag_zero(E.rank)
-    r = ExtElement(base.one, g0)
-    F = monomial_substitute(f, a).scale(E.inv(r))
-    # the level-0 coefficients of F are those of P
-    i0, i1 = P.support[0], P.support[-1]
-
-    # prescribed middle: g moved to the unit point, at level 0; a witness for
-    # P is supported in [i0, i1), since no nonzero singleton is null
-    gu = rescale_quotient(g, u)
-    d = [None] * (n + 1)
-    for i in gu.support:
-        d[i] = ExtElement(gu.coeffs[i], zero_level)
-
-    def pick(choices) -> ExtElement:
-        return min(choices, key=E.sort_key)
-
-    # left run, solved upward; each choice keeps factor_check at its index:
-    # F_i - d_(i-1) + d_i is null, so d_i is minus a sum of F_i and -d_(i-1)
-    prev = EXT_ZERO
-    for i in range(0, i0):
-        s = E.sum_set(F.coeff(i), E.mul(E.epsilon, prev))
-        prev = pick(E.mul(E.epsilon, c) for c in s.core)
-        d[i] = prev
-
-    # gaps, each solved downward from a zero seed at its top; the last gap
-    # is the right run, seeded at index n (coefficient n of a quotient is 0)
-    i = i0
-    while i <= n:
-        if d[i] is not None:
-            i += 1
-            continue
-        q = i
-        while q < n and d[q + 1] is None:
-            q += 1
-        d[q] = EXT_ZERO
-        for j in range(q, i, -1):
-            d[j - 1] = pick(E.sum_set(F.coeff(j), d[j]).core)
-        i = q + 1
-
-    # undo the normalization: gt_j = r * a^(-j-1) * d_j
-    gt = rescale_quotient(Polynomial(E, d), E.inv(a)).scale(r)
-
+    gt = denormalise_quotient(_lift_at_one(F, gu), a, r)
     if not factor_check(f, a, gt):
         raise StructuralError("lift failed its own factorization check")
     Q, q0 = initial_form_at(gt, a)
-    if Q != g or q0 != oag_sub(g0, a.level):
+    if Q != g or q0 != oag_sub(r.level, a.level):
         raise StructuralError("lift failed to match the prescribed initial form")
     return gt
 

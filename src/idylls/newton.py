@@ -187,7 +187,7 @@ def initial_form_split(f: Polynomial, gamma) -> tuple:
 
 def initial_form_at(f: Polynomial, a: ExtElement) -> tuple:
     """Initial form at the level of a nonzero element a."""
-    _levelled(f)
+    _levelled(f).require(a)
     if a.is_zero:
         raise StructuralError("initial forms need a nonzero point")
     return initial_form_split(f, a.level)

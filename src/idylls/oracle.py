@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
-    ForeignElementError,
     StructuralError,
     UnsupportedOperationError,
     quotient_hyperfield,
@@ -119,8 +118,7 @@ def _witnesses(f: Polynomial, a, budget) -> list:
 
 def _oracle_chain(f: Polynomial, a, budget, memo: dict) -> tuple:
     """(length, quotients) of a longest chain of pool witnesses at a."""
-    if not f.idyll.contains(a):
-        raise ForeignElementError(f"{a!r} is not an element of {f.idyll.name}")
+    f.idyll.require(a)
     return _longest_chain(f, lambda g: _witnesses(g, a, budget), memo)
 
 

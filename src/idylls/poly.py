@@ -32,7 +32,8 @@ from .algebra import (
     sign_idyll,
     sign_of_rational,
 )
-from .extension import ExtElement, signed_tropical, trop_extension, tropical
+from .extension import ExtElement, ExtensionDescriptor
+from .extension import signed_tropical, trop_extension, tropical
 
 
 class Polynomial:
@@ -114,8 +115,7 @@ class Polynomial:
 def eval_sum(f: Polynomial, a) -> FormalSum:
     """The formal sum of term values c_i * a^i; f is "zero at a" iff null."""
     B = f.idyll
-    if not B.contains(a):
-        raise ForeignElementError(f"{a!r} is not an element of {B.name}")
+    B.require(a)
     # a^i built up as i grows, so a may be zero (a^0 is one)
     terms, power = [], B.one
     for c in f.coeffs:
@@ -127,8 +127,7 @@ def eval_sum(f: Polynomial, a) -> FormalSum:
 def monomial_substitute(f: Polynomial, c) -> Polynomial:
     """Substitute x -> c*x for a unit c: coefficient i picks up c^i."""
     B = f.idyll
-    if not B.contains(c):
-        raise ForeignElementError(f"{c!r} is not an element of {B.name}")
+    B.require(c)
     if B.is_zero(c):
         raise StructuralError("substitution unit must be nonzero")
     coeffs, power = [], B.one
@@ -142,10 +141,31 @@ def rescale_quotient(g: Polynomial, c) -> Polynomial:
     """c*g(c*x): coefficient j picks up c^(j+1).
 
     If g is a quotient of f at a, this is a quotient of f(c*x) at a/c, since
-    f(c*x) = (c*x - a)*g(c*x) = (x - a/c)*c*g(c*x), degree by degree. So
-    c = a moves a division at a to the unit point, and c = 1/a moves it back.
+    f(c*x) = (c*x - a)*g(c*x) = (x - a/c)*c*g(c*x), degree by degree.
     """
     return monomial_substitute(g, c).scale(c)
+
+
+def normalise(f: Polynomial, a) -> tuple:
+    """(F, r) with F = f(a*x)/r: a division of f at a unit a moved to one.
+
+    Over an extension r is (1, lowest level of f(a*x)), so F's lowest level
+    is 0 and its level-0 units are the initial form of f at a, twisted by
+    powers of the unit of a; elsewhere, and for f = 0, r is one.
+    """
+    B = f.idyll
+    F = monomial_substitute(f, a)
+    if not isinstance(B, ExtensionDescriptor) or f.is_zero:
+        return F, B.one
+    r = ExtElement(B.base.one, min(c.level for c in F.coeffs if not c.is_zero))
+    return F.scale(B.inv(r)), r
+
+
+def denormalise_quotient(G: Polynomial, a, r) -> Polynomial:
+    """The inverse of `normalise` for quotients: for G a quotient at one of F,
+    where (F, r) = normalise(f, a), r*G(x/a)/a is a quotient of f at a,
+    since f = r*F(x/a) = (x - a)*(r/a)*G(x/a)."""
+    return rescale_quotient(G, G.idyll.inv(a)).scale(r)
 
 
 def factor_check(f: Polynomial, a, g: Polynomial) -> bool:
@@ -158,8 +178,7 @@ def factor_check(f: Polynomial, a, g: Polynomial) -> bool:
     B = f.idyll
     if g.idyll != B:
         raise StructuralError("factor and polynomial live over different idylls")
-    if not B.contains(a):
-        raise ForeignElementError(f"{a!r} is not an element of {B.name}")
+    B.require(a)
     top = max(f.degree, g.degree + 1)
     for i in range(top + 1):
         terms = [

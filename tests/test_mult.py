@@ -23,6 +23,7 @@ from idylls.algebra import (
 )
 from idylls.extension import (
     EXT_ZERO,
+    ExtElement,
     ExtensionDescriptor,
     signed_tropical,
     tropical,
@@ -522,10 +523,15 @@ def test_queries_leave_no_cyclic_garbage():
     f = Polynomial(T, [T.elem(1, 0)] * 5)
     g = parse_poly("1 - x + 1^1*x^2", TR)
     a = T.elem(1, 0)
+    h = parse_poly("1^1 - x + 1^1*x^2 + x^3 + x^4", TR)  # a double root at -1^0
+    b = TR.elem(-1, 0)
+    w = division_rule(initial_form_at(h, b)[0], -1)
     batches = (
         lambda: multiplicity(f, a),
         lambda: divide_once(f, a),
         lambda: degree_bound_check(g),
+        lambda: rule_multiplicity(h, b),
+        lambda: lift_factorization(h, b, w),
     )
     gc.collect()
     gc.disable()
@@ -536,6 +542,27 @@ def test_queries_leave_no_cyclic_garbage():
             assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_rule_chain_moves_to_the_unit_point_once(monkeypatch):
+    # the chain normalises once and reads each step's initial form off the
+    # normalised polynomial, so no step computes one
+    calls = {"normalise": 0, "initial_form_at": 0}
+
+    def counting(name):
+        inner = getattr(mult, name)
+
+        def call(*args):
+            calls[name] += 1
+            return inner(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(mult, name, counting(name))
+    f = parse_poly("1 + x + x^2 + x^3", TR)  # f(-x) changes sign three times
+    m, chain = rule_multiplicity(f, TR.elem(-1, 0))
+    assert m == 3 and chain.verify()
+    assert calls == {"normalise": 1, "initial_form_at": 0}
 
 
 # -- root candidates ------------------------------------------------------------
@@ -685,6 +712,87 @@ def test_lift_rejects_base_polynomials():
     f = Polynomial(S, [1, -1])
     with pytest.raises(StructuralError):
         lift_factorization(f, 1, f)
+
+
+def test_foreign_points_get_a_typed_error():
+    five = ExtElement(5, (Fraction(0),))  # 5 is no sign
+    for call in (
+        lambda: initial_form_at(CATALAN, 1),
+        lambda: initial_form_at(CATALAN, five),
+        lambda: lift_factorization(CATALAN, 1, Polynomial(S, [1])),
+        lambda: lift_factorization(CATALAN, five, Polynomial(S, [1])),
+    ):
+        with pytest.raises(ForeignElementError):
+            call()
+
+
+def _hand_chain(f, a) -> tuple:
+    """The rule chain from the public steps: the initial form at a, the base
+    rule at the unit of a, and the lift of its quotient."""
+    quotients, cur = [], f
+    while True:
+        try:
+            g = division_rule(initial_form_at(cur, a)[0], a.unit)
+        except StructuralError:
+            return tuple(quotients)
+        cur = lift_factorization(cur, a, g)
+        quotients.append(cur)
+
+
+def _multiple_root_poly(rng, E, a) -> Polynomial:
+    """Terms on the line -i*level(a) whose units, moved to the unit point,
+    have a multiple root at one: alternating signs over a sign base, the
+    coefficients of (x - 1)^k (x - w) over a field. A quarter of the terms
+    sit one step above the line in a random coordinate instead."""
+    B = E.base
+    if B.kind == "sign":
+        n = rng.randint(3, 6)
+        units = [(-1) ** i if rng.random() < 0.8 else rng.choice([1, -1]) for i in range(n + 1)]
+    else:
+        units = [Fraction(1)]
+        for root in [1] * rng.randint(2, 3) + [rng.choice([2, 3, 4])]:
+            units = [(units[i - 1] if i else 0) - root * (units[i] if i < len(units) else 0)
+                     for i in range(len(units) + 1)]
+        units = [B.parse_element(str(c)) for c in units]
+    coeffs, back = [], B.one
+    for i, t in enumerate(units):
+        level = [-i * g for g in a.level]
+        if rng.random() < 0.25:
+            level[rng.randrange(E.rank)] += 1
+        coeffs.append(E.elem(B.mul(t, back), tuple(level)))
+        back = B.mul(back, B.inv(a.unit))
+    return Polynomial(E, coeffs)
+
+
+@pytest.mark.parametrize("name, units", [
+    ("trop-real", [-1]),
+    ("trop-real:rank-2", [-1]),
+    ("ext:field:GF(5):1", [2, 3, 4]),
+    ("ext:field:Q:1", [Fraction(2), Fraction(-1), Fraction(1, 3), Fraction(-3, 2)]),
+])
+def test_rule_chain_is_the_hand_built_lift_chain(name, units):
+    # the frame's map-back, quotient by quotient: normalising once per query
+    # must give what the initial form, the base rule at the unit of a and
+    # the public lift give at every step
+    E = parse_idyll_name(name)
+    rng = random.Random(f"hand chain {name}")
+    deep = 0
+    for _ in range(60):
+        level = tuple(Fraction(rng.randint(-4, 4), rng.choice([1, 2])) for _ in range(E.rank))
+        a = E.elem(rng.choice(units), level)
+        f = _multiple_root_poly(rng, E, a)
+        points = [a]
+        if E.base.elements is not None:
+            points += [b for b in root_candidates(f) if not b.is_zero and b.unit != 1]
+        for b in points:
+            m, chain = rule_multiplicity(f, b)
+            want = _hand_chain(f, b)
+            assert chain.quotients == want, (str(f), E.format_element(b))
+            assert chain.verify()
+            if m:
+                assert division_rule(f, b) == want[0]
+            deep += m >= 2
+    assert deep >= 10, name
 
 
 def test_lift_chain_reaches_full_multiplicity():
