@@ -123,11 +123,11 @@ class ExtensionDescriptor(Idyll):
 
     # -- element plumbing ---------------------------------------------------
 
-    def elem(self, unit, level=0) -> ExtElement:
+    def elem(self, unit, level=None) -> ExtElement:
         """Build an element from a base unit and a bare rational or tuple level."""
         if self.base.is_zero(unit):
             return EXT_ZERO
-        level = as_level(level, self.rank)
+        level = self._zero_level if level is None else as_level(level, self.rank)
         if not self.base.contains(unit):
             raise ForeignElementError(f"{unit!r} is not a unit of {self.base.name}")
         return ExtElement(unit, level)

@@ -126,8 +126,8 @@ def divide_once(f: Polynomial, a, cap: int = None) -> list:
     enough for the chain length, because a tail coefficient that matters
     must eventually tie a coefficient level from below, and a
     self-cancelling run only needs some level strictly between two
-    coefficient levels. The oracles in `idylls.oracle`, whose pool holds
-    every level offered here, cross-check it. Each partial quotient, a
+    coefficient levels. The oracle in `idylls.oracle`, whose pool holds
+    every level offered here, cross-checks it. Each partial quotient, a
     completed one included, spends a state of cap; `multiplicity` passes
     its own budget for the whole chain.
     """
@@ -158,13 +158,11 @@ def divide_once(f: Polynomial, a, cap: int = None) -> list:
             budget.spend(len(offers))
             grown += [(x,) + d for x in offers]
         partial = grown
-    # sort keys are one-to-one, so keying by them also drops repeated tuples
-    found = {
-        tuple(map(B.sort_key, d)): d
-        for d in partial
-        if B.is_null((f.coeff(0), B.mul(a, d[0])))
-    }
-    return [Polynomial(B, found[key]) for key in sorted(found)]
+    found = sorted(
+        (d for d in partial if B.is_null((f.coeff(0), B.mul(a, d[0])))),
+        key=lambda d: tuple(map(B.sort_key, d)),
+    )
+    return [Polynomial(B, d) for d in found]
 
 
 def _tail_pool(f: Polynomial, a) -> tuple:

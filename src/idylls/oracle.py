@@ -1,20 +1,22 @@
-"""Reference oracles: brute force at desk scale, no structure theory.
+"""Reference oracle: brute force at desk scale, no structure theory.
 
-`exhaustive_multiplicity`, `exhaustive_root_set` and
-`bounded_extension_oracle` share one core that reads the definition of a
-witness: it picks quotient coefficients from the top degree down out of a
-finite pool per position, and keeps a choice only when the degree it
-completes, f_i + eps*d_(i-1) + a*d_i, is null. It never asks for a sum set.
-The pool is the whole carrier of a finite idyll; over an extension it holds
-every level `divide_once` can offer. The division rules themselves live in
-`idylls.mult` (`division_rule`).
+`oracle_multiplicity` answers as the engines do, with a count and its
+chain, and `exhaustive_root_set` asks it at every carrier element. Its
+core reads the definition of a witness: it picks quotient coefficients
+from the top degree down out of a finite pool per position, and keeps a
+choice only when the degree it completes, f_i + eps*d_(i-1) + a*d_i, is
+null. It never asks for a sum set. The pool is the whole carrier of a
+finite idyll; over an extension it holds every level `divide_once` can
+offer. The division rules themselves live in `idylls.mult`
+(`division_rule`).
 
 The pinned corpus is one table of the paper's worked examples: named
 instances (an idyll name, a polynomial literal and an optional prime, read
 by `read_poly` as the command line reads them) and the checks on them,
 read by `run_pinned_corpus` (`idylls verify`), by `idylls demo <group>`
-and by the demo scripts. A `mult` or `closed` row counts only a chain that
-verifies: the search chain or the rule chain.
+and by the demo scripts. A multiplicity row (`mult`, `closed`,
+`exhaustive`, `staircase drop`) counts only a chain that verifies: the
+search chain, the rule chain or the oracle's chain.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .algebra import (
 from .extension import ExtElement, ExtensionDescriptor
 from .mult import (
     FactorizationChain,
-    SearchCapExceeded,
     _budget,
     _longest_chain,
     degree_bound_check,
@@ -116,24 +117,25 @@ def _witnesses(f: Polynomial, a, budget) -> list:
     return [Polynomial(B, d[1:]) for d in partial]
 
 
-def _oracle_chain(f: Polynomial, a, budget, memo: dict) -> tuple:
-    """(length, quotients) of a longest chain of pool witnesses at a."""
-    f.idyll.require(a)
-    return _longest_chain(f, lambda g: _witnesses(g, a, budget), memo)
+def oracle_multiplicity(f: Polynomial, a, cap: int = None) -> tuple:
+    """Longest chain of pool witnesses at a, by brute force: (count, chain).
 
-
-def exhaustive_multiplicity(f: Polynomial, a, memo: dict = None) -> int:
-    """Multiplicity by witness enumeration over a finite carrier.
-
-    Pass a shared memo dict when sweeping many polynomials over the same
-    idyll; it keeps one table per point. The search budget bounds one call.
+    Over a finite idyll the pool is the carrier, so the count is the
+    multiplicity. Over an extension the pools hold every coefficient
+    `divide_once` can offer and every quotient passes the definition's null
+    test, so the count lies between the engine's and the true multiplicity.
+    cap (or IDYLL_SEARCH_CAP) bounds the whole search; SearchCapExceeded
+    when it runs out. An idyll with no finite carrier to pool (an infinite
+    one, or an extension of one) raises UnsupportedOperationError up front.
     """
-    _carrier(f.idyll)
+    B = f.idyll
+    _carrier(B.base if isinstance(B, ExtensionDescriptor) else B)
+    B.require(a)
     if f.is_zero:
         raise StructuralError("the zero polynomial has no multiplicity")
-    if memo is None:
-        memo = {}
-    return _oracle_chain(f, a, _budget(None), memo.setdefault(a, {}))[0]
+    budget = _budget(cap)
+    m, quotients = _longest_chain(f, lambda g: _witnesses(g, a, budget), {})
+    return m, FactorizationChain(f, a, quotients)
 
 
 def exhaustive_root_set(f: Polynomial) -> set:
@@ -142,24 +144,7 @@ def exhaustive_root_set(f: Polynomial) -> set:
     if f.is_zero:
         return set(carrier)
     budget = _budget(None)
-    return {a for a in carrier if _oracle_chain(f, a, budget, {})[0]}
-
-
-def bounded_extension_oracle(f: Polynomial, a: ExtElement, cap: int = None):
-    """(count, chain, conclusive): multiplicity over the oracle's pools.
-
-    The pools hold every coefficient `divide_once` can offer and every
-    quotient passes the definition's null test, so the count lies between
-    the engine's and the true multiplicity. A search that runs out of cap
-    (which bounds the whole search) reports (-1, None, False).
-    """
-    if f.is_zero:
-        raise StructuralError("the zero polynomial has no multiplicity")
-    try:
-        m, quotients = _oracle_chain(f, a, _budget(cap), {})
-    except SearchCapExceeded:
-        return -1, None, False
-    return m, FactorizationChain(f, a, quotients), True
+    return {a for a in carrier if oracle_multiplicity(f, a, budget)[0]}
 
 
 # ---------------------------------------------------------------------------
@@ -274,16 +259,20 @@ def _is_root(f: Polynomial, *points):
     return found if len(found) > 1 else found[0]
 
 
+_UNWITNESSED = "a chain that fails verify()"
+
+
 def _witnessed(engine, f: Polynomial, a):
     """engine's multiplicity of f at a, counted only if its chain verifies."""
     m, chain = engine(f, a)
-    return m if chain.verify() else "a chain that fails verify()"
+    return m if chain.verify() else _UNWITNESSED
 
 
 def _staircase(f: Polynomial, a) -> tuple:
     """Is the staircase quotient at a a witness, and by how much does mult drop?"""
     w = division_rule(f, a)
-    return factor_check(f, a, w), multiplicity(f, a)[0] - multiplicity(w, a)[0]
+    m, n = (_witnessed(multiplicity, g, a) for g in (f, w))
+    return factor_check(f, a, w), _UNWITNESSED if _UNWITNESSED in (m, n) else m - n
 
 
 # query: the library call it stands for, on the instance and the point literals
@@ -293,7 +282,7 @@ _QUERIES = {
         multiplicity, initial_form_at(f, _at(f, a))[0], _at(f, a).unit
     ),
     "closed": lambda f, a: _witnessed(rule_multiplicity, f, _at(f, a)),
-    "exhaustive": lambda f, a: exhaustive_multiplicity(f, _at(f, a)),
+    "exhaustive": lambda f, a: _witnessed(oracle_multiplicity, f, _at(f, a)),
     "slopes": lambda f: list(newton_polygon(f).edge_slopes),
     "widths": lambda f: [e.width for e in newton_polygon(f).edges],
     "edges": lambda f: sorted((-e.slope, e.width) for e in newton_polygon(f).edges),

@@ -500,17 +500,22 @@ def test_a_chain_that_fails_verify_fails_every_mult_row(monkeypatch, capsys):
     # a count is pinned only with its witness: the same numbers from chains
     # that do not verify are mismatches
     monkeypatch.setattr(FactorizationChain, "verify", lambda self: False)
-    for argv, closed_rows in ((["verify"], 5), (["demo", "descartes"], 2)):
+    for argv, closed_rows, exhaustive_rows, drop_rows in (
+        (["verify"], 5, 2, 1), (["demo", "descartes"], 2, 1, 0)
+    ):
         rc = main(argv)
         lines = capsys.readouterr().out.splitlines()
         mult_lines = [line for line in lines if " mult at " in line]  # and initial mult
         closed_lines = [line for line in lines if " closed at " in line]
+        exhaustive_lines = [line for line in lines if " exhaustive at " in line]
+        drop_lines = [line for line in lines if " staircase drop at " in line]
         assert rc == 3, argv
         assert mult_lines, argv
         assert len(closed_lines) == closed_rows, argv
-        assert all(
-            line.lstrip().startswith("MISMATCH") for line in mult_lines + closed_lines
-        ), argv
+        assert len(exhaustive_lines) == exhaustive_rows, argv
+        assert len(drop_lines) == drop_rows, argv
+        rows = mult_lines + closed_lines + exhaustive_lines + drop_lines
+        assert all(line.lstrip().startswith("MISMATCH") for line in rows), argv
 
 
 # -- exit codes ------------------------------------------------------------------------

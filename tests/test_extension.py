@@ -51,6 +51,13 @@ def test_elem_normalizes_level_arguments():
     assert TR.elem(0, 7) is EXT_ZERO  # zero unit collapses to the zero element
 
 
+def test_elem_defaults_to_the_zero_level_of_its_rank():
+    assert T.elem(1) == T.one
+    for E in (TR2, signed_tropical(3)):
+        assert E.elem(-1) == ExtElement(-1, oag(*[0] * E.rank))
+        assert E.elem(1) == E.one
+
+
 def test_elem_rejects_wrong_rank():
     with pytest.raises(StructuralError):
         T2.elem(1, 3)

@@ -46,9 +46,8 @@ from idylls.mult import (
 from idylls.newton import initial_form_at, root_levels
 from idylls.oag import oag
 from idylls.oracle import (
-    bounded_extension_oracle,
-    exhaustive_multiplicity,
     exhaustive_root_set,
+    oracle_multiplicity,
 )
 from idylls.poly import Polynomial, factor_check, parse_idyll_name, parse_poly
 
@@ -190,8 +189,7 @@ def test_grid_tails_agree_with_auto_on_small_instances():
         if f.degree < 1:
             continue
         a = TR.elem(rng.choice([1, -1]), rng.randrange(-2, 3))
-        count, _, conclusive = bounded_extension_oracle(f, a)
-        assert conclusive
+        count, _ = oracle_multiplicity(f, a)
         assert bool(divide_once(f, a)) == (count > 0), (f, TR.format_element(a))
 
 
@@ -349,13 +347,12 @@ def test_rule_chain_over_the_rationals_extension_is_the_initial_form_count():
 
 
 def test_search_matches_exhaustive_on_all_small_sign_polys():
-    memo = {}
     for coeffs in itertools.product((0, 1, -1), repeat=4):
         f = Polynomial(S, coeffs)
         if f.degree < 1:
             continue
         for a in (1, -1):
-            assert multiplicity(f, a)[0] == exhaustive_multiplicity(f, a, memo)
+            assert multiplicity(f, a)[0] == oracle_multiplicity(f, a)[0]
             assert mult_closed_form(f, a) == multiplicity(f, a)[0]
 
 
@@ -663,7 +660,7 @@ def test_degree_bound_fails_over_non_stringent_quotients(name, text, mults):
     roots = root_multiplicities(f)
     assert [m for _, m in roots] == mults
     for a, m in roots:
-        assert exhaustive_multiplicity(f, a) == m
+        assert oracle_multiplicity(f, a)[0] == m
 
 
 # -- lifting ----------------------------------------------------------------------

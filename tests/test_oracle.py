@@ -18,6 +18,7 @@ from idylls.algebra import (
 )
 from idylls.extension import ExtElement, signed_tropical, tropical
 from idylls.mult import (
+    SearchCapExceeded,
     _longest_chain,
     _tail_pool,
     divide_once,
@@ -35,15 +36,15 @@ from idylls.oracle import (
     OracleReport,
     _QUERIES,
     _pools,
-    bounded_extension_oracle,
-    exhaustive_multiplicity,
     exhaustive_root_set,
+    oracle_multiplicity,
     run_pinned_corpus,
 )
 from idylls.poly import (
     Polynomial,
     factor_check,
     monomial_substitute,
+    parse_idyll_name,
     parse_poly,
     rescale_quotient,
 )
@@ -85,11 +86,11 @@ def test_pinned_table_shape():
     assert {row[2] for row in PINNED_CHECKS} == set(_QUERIES)
 
 
-def test_exhaustive_multiplicity_literal_enumeration():
+def test_oracle_multiplicity_literal_enumeration():
     f = Polynomial(S, [1, -1, -1, 1])
-    assert exhaustive_multiplicity(f, 1) == 2
-    assert exhaustive_multiplicity(f, -1) == 1
-    assert exhaustive_multiplicity(f, 0) == 0
+    assert oracle_multiplicity(f, 1)[0] == 2
+    assert oracle_multiplicity(f, -1)[0] == 1
+    assert oracle_multiplicity(f, 0)[0] == 0
 
 
 def test_exhaustive_root_set():
@@ -98,27 +99,29 @@ def test_exhaustive_root_set():
 
 
 def test_exhaustive_rejects_infinite_carriers():
-    f = Polynomial(TR, [TR.elem(1, 0), TR.elem(-1, 0)])
-    with pytest.raises(UnsupportedOperationError):
-        exhaustive_multiplicity(f, TR.elem(1, 0))
+    # an extension over a finite base pools; over an infinite one it cannot
+    for name, point in (("field:Q", "1"), ("ext:field:Q:1", "1^0")):
+        B = parse_idyll_name(name)
+        with pytest.raises(UnsupportedOperationError):
+            oracle_multiplicity(parse_poly("1 - x", B), B.parse_element(point))
 
 
 def test_exhaustive_agrees_with_search_on_random_krasner():
     rng = random.Random(4)
-    memo = {}
     for _ in range(80):
         coeffs = [rng.choice([0, 1]) for _ in range(rng.randrange(2, 7))]
         f = Polynomial(K, coeffs)
         if f.degree < 1:
             continue
-        assert exhaustive_multiplicity(f, 1, memo) == multiplicity(f, 1)[0]
+        m, chain = oracle_multiplicity(f, 1)
+        assert m == multiplicity(f, 1)[0]
+        assert chain.verify()
 
 
 def test_bounded_oracle_conclusive_agreement():
     f = Polynomial(TR, [TR.elem(1, 0), TR.elem(-1, 0), TR.elem(1, 1)])
     for a in (TR.elem(1, 0), TR.elem(1, -1)):
-        count, chain, conclusive = bounded_extension_oracle(f, a)
-        assert conclusive
+        count, chain = oracle_multiplicity(f, a)
         assert count == mult_closed_form(f, a)
         if count:
             assert chain.verify()
@@ -127,25 +130,26 @@ def test_bounded_oracle_conclusive_agreement():
 def test_bounded_oracle_at_the_zero_point():
     # x^2 times a linear factor; the pool at zero is unshifted
     f = Polynomial(TR, [TR.zero, TR.zero, TR.elem(1, 2), TR.elem(-1, -1)])
-    count, chain, conclusive = bounded_extension_oracle(f, TR.zero)
-    assert conclusive and count == 2 == multiplicity(f, TR.zero)[0]
+    count, chain = oracle_multiplicity(f, TR.zero)
+    assert count == 2 == multiplicity(f, TR.zero)[0]
     assert chain.verify()
 
 
 def test_bounded_oracle_reports_inconclusive_on_tiny_cap():
     f = Polynomial(TR, [TR.elem(1, 0), TR.elem(-1, 0), TR.elem(1, 1)])
-    count, chain, conclusive = bounded_extension_oracle(f, TR.elem(1, -1), cap=2)
-    assert (count, chain, conclusive) == (-1, None, False)
+    with pytest.raises(SearchCapExceeded):
+        oracle_multiplicity(f, TR.elem(1, -1), cap=2)
 
 
 def test_bounded_oracle_cap_bounds_the_whole_search():
     # a state per tested offer: no single division step needs more than 19
     # states; the search needs 62
     f = Polynomial(T, [T.elem(1, 0)] * 5)
-    assert bounded_extension_oracle(f, T.elem(1, 0), cap=20) == (-1, None, False)
-    assert bounded_extension_oracle(f, T.elem(1, 0), cap=61) == (-1, None, False)
-    count, chain, conclusive = bounded_extension_oracle(f, T.elem(1, 0), cap=62)
-    assert conclusive and count == 4 and chain.verify()
+    for cap in (20, 61):
+        with pytest.raises(SearchCapExceeded):
+            oracle_multiplicity(f, T.elem(1, 0), cap=cap)
+    count, chain = oracle_multiplicity(f, T.elem(1, 0), cap=62)
+    assert count == 4 and chain.verify()
 
 
 def test_bounded_oracle_cap_bounds_its_null_tests(monkeypatch):
@@ -156,7 +160,8 @@ def test_bounded_oracle_cap_bounds_its_null_tests(monkeypatch):
     monkeypatch.setattr(T, "is_null", lambda s: tests.append(s) or is_null(s))
     for cap in (20, 61):
         tests.clear()
-        assert bounded_extension_oracle(f, T.elem(1, 0), cap=cap) == (-1, None, False)
+        with pytest.raises(SearchCapExceeded):
+            oracle_multiplicity(f, T.elem(1, 0), cap=cap)
         assert 0 < len(tests) <= cap
 
 
@@ -181,14 +186,14 @@ def _product_multiplicity(f, a, memo):
     ids=lambda B: B.name,
 )
 def test_oracle_equals_product_enumeration_up_to_degree_three(B):
-    reference, memo = {}, {}
+    reference = {}
     for coeffs in itertools.product(B.elements, repeat=4):
         f = Polynomial(B, coeffs)
         if f.is_zero:
             continue
         mults = {a: _product_multiplicity(f, a, reference) for a in B.elements}
         for a, m in mults.items():
-            assert exhaustive_multiplicity(f, a, memo) == m, (str(f), a)
+            assert oracle_multiplicity(f, a)[0] == m, (str(f), a)
         assert exhaustive_root_set(f) == {a for a, m in mults.items() if m}, str(f)
 
 
