@@ -29,10 +29,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional, Sequence
 
 from .oag import ParseError, StructuralError, format_rational
 
@@ -48,8 +47,49 @@ class UnsupportedOperationError(RuntimeError):
     """The descriptor has no finite enumeration and no closed form for this op."""
 
 
-@dataclass(frozen=True)
-class SumSet:
+class Record:
+    """Base of the small value classes, written by hand: a class-generating
+    decorator and the ``inspect`` module it imports would cost about two
+    thirds of ``import idylls``.
+
+    The fields are the subclass's ``__slots__``; ``__init__`` takes them in
+    order and sets each once, and assignment then raises AttributeError. An
+    instance equals only an instance of its own class; hash, repr, pickle
+    and deepcopy read the fields in order.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *fields):
+        for name, value in zip(self.__slots__, fields, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__name__}({body})"
+
+
+class SumSet(Record):
     """The set {c : a + b - c is null}, possibly with an infinite upper tail.
 
     ``core`` is the finite part. Over a tropical extension the set can also
@@ -59,8 +99,11 @@ class SumSet:
     membership honors the tail.
     """
 
-    core: frozenset
-    tail_above: Optional[tuple] = None
+    __slots__ = ("core", "tail_above")
+
+    def __init__(self, core: frozenset, tail_above: tuple | None = None):
+        object.__setattr__(self, "core", core)
+        object.__setattr__(self, "tail_above", tail_above)
 
     def __contains__(self, x) -> bool:
         if x in self.core:
@@ -146,7 +189,7 @@ class Idyll:
 
     name: str
     kind: str
-    elements: Optional[Sequence]
+    elements: Sequence | None
     is_whole: bool
     valuation_literals: bool = False
 
@@ -685,7 +728,7 @@ def sign_of_rational(q) -> int:
     return 1 if q > 0 else -1
 
 
-def padic_valuation(q, p: int) -> Optional[tuple]:
+def padic_valuation(q, p: int) -> tuple | None:
     """Exact p-adic valuation of a rational as a rank-1 value; None at 0."""
     require_prime(p)
     q = Fraction(q)

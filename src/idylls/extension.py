@@ -18,16 +18,15 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
 from .algebra import (
     EXHAUSTIVE_CARRIER,
     ForeignElementError,
     Idyll,
     ParseError,
+    Record,
     StructuralError,
     SumSet,
     UnsupportedOperationError,
@@ -45,12 +44,24 @@ from .oag import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class ExtElement:
+class ExtElement(Record):
     """(unit, level) with a nonzero base unit, or the zero (None, None)."""
 
-    unit: object = None
-    level: Optional[tuple] = None
+    __slots__ = ("unit", "level")
+
+    def __init__(self, unit=None, level: tuple | None = None):
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "level", level)
+
+    # the search hashes and compares elements in its inner loops, so these
+    # name the two fields instead of walking __slots__
+    def __eq__(self, other):
+        if other.__class__ is ExtElement:
+            return (self.unit, self.level) == (other.unit, other.level)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.unit, self.level))
 
     @property
     def is_zero(self) -> bool:
@@ -161,7 +172,7 @@ class ExtensionDescriptor(Idyll):
         w = self.base.inv(self.base.mul(a.unit, self._sigma(a.level, neg)))
         return ExtElement(w, neg)
 
-    def valuation(self, a: ExtElement) -> Optional[tuple]:
+    def valuation(self, a: ExtElement) -> tuple | None:
         """The level of a; None for zero, which has no level."""
         return a.level
 

@@ -16,13 +16,13 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
     FiniteFieldIdyll,
     KrasnerIdyll,
     RationalFieldIdyll,
+    Record,
     SignIdyll,
     StructuralError,
     UnsupportedOperationError,
@@ -74,13 +74,10 @@ def _budget(cap) -> _Budget:
     return _Budget(cap)
 
 
-@dataclass(frozen=True)
-class FactorizationChain:
+class FactorizationChain(Record):
     """A witnessed chain f -> quotients[0] -> quotients[1] -> ..."""
 
-    poly: Polynomial
-    root: object
-    quotients: tuple
+    __slots__ = ("poly", "root", "quotients")
 
     @property
     def length(self) -> int:

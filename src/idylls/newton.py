@@ -17,11 +17,9 @@ argmin, not a second computation.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import StructuralError
+from .algebra import Record, StructuralError
 from .extension import ExtElement, ExtensionDescriptor, trop_extension
 from .oag import (
     as_level,
@@ -35,24 +33,18 @@ from .oag import (
 from .poly import Polynomial
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(Record):
     """One segment of the lower hull; width is its horizontal span."""
 
-    slope: Fraction
-    start: tuple
-    end: tuple
+    __slots__ = ("slope", "start", "end")
 
     @property
     def width(self) -> int:
         return self.end[0] - self.start[0]
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
-    points: tuple
-    vertices: tuple
-    edges: tuple
+class NewtonPolygon(Record):
+    __slots__ = ("points", "vertices", "edges")
 
     @property
     def edge_slopes(self) -> tuple:
@@ -219,6 +211,8 @@ def _y_grid(values):
 
 def render_polygon(polygon: NewtonPolygon, format: str = "ascii") -> str:
     if format == "json":
+        import json  # only this format needs it, so `import idylls` does not load it
+
         return json.dumps(polygon.to_json(), indent=2)
     if format == "svg":
         return _render_svg(polygon)

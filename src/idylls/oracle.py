@@ -1,14 +1,14 @@
 """Reference oracle: brute force at desk scale, no structure theory.
 
 `oracle_multiplicity` answers as the engines do, with a count and its
-chain, and `exhaustive_root_set` asks it at every carrier element. Its
-core reads the definition of a witness: it picks quotient coefficients
-from the top degree down out of a finite pool per position, and keeps a
-choice only when the degree it completes, f_i + eps*d_(i-1) + a*d_i, is
-null. It never asks for a sum set. The pool is the whole carrier of a
-finite idyll; over an extension it holds every level `divide_once` can
-offer. The division rules themselves live in `idylls.mult`
-(`division_rule`).
+chain, and `exhaustive_root_set` asks the same core for one witness at
+every carrier element. The core reads the definition of a witness: it
+picks quotient coefficients from the top degree down out of a finite pool
+per position, and keeps a choice only when the degree it completes,
+f_i + eps*d_(i-1) + a*d_i, is null. It never asks for a sum set. The
+pool is the whole carrier of a finite idyll; over an extension it holds
+every level `divide_once` can offer. The division rules themselves live
+in `idylls.mult` (`division_rule`).
 
 The pinned corpus is one table of the paper's worked examples: named
 instances (an idyll name, a polynomial literal and an optional prime, read
@@ -21,10 +21,10 @@ search chain, the rule chain or the oracle's chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
+    Record,
     StructuralError,
     UnsupportedOperationError,
     quotient_hyperfield,
@@ -139,12 +139,16 @@ def oracle_multiplicity(f: Polynomial, a, cap: int = None) -> tuple:
 
 
 def exhaustive_root_set(f: Polynomial) -> set:
-    """All carrier elements admitting at least one factorization witness."""
+    """All carrier elements admitting at least one factorization witness.
+
+    One division per element; the cap (IDYLL_SEARCH_CAP or the default)
+    bounds the whole scan.
+    """
     carrier = _carrier(f.idyll)
     if f.is_zero:
         return set(carrier)
     budget = _budget(None)
-    return {a for a in carrier if oracle_multiplicity(f, a, budget)[0]}
+    return {a for a in carrier if _witnesses(f, a, budget)}
 
 
 # ---------------------------------------------------------------------------
@@ -307,12 +311,13 @@ _QUERIES = {
 }
 
 
-@dataclass
-class OracleReport:
-    name: str
-    expected: object
-    computed: object
-    passed: bool
+class OracleReport(Record):
+    """One checked row: mutable and unhashable, unlike the other records."""
+
+    __slots__ = ("name", "expected", "computed", "passed")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
 
     def line(self) -> str:
         status = "ok" if self.passed else "MISMATCH"

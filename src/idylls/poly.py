@@ -54,6 +54,10 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):
+        # pickle and deepcopy rebuild through __init__, not the guard above
+        return Polynomial, (self.idyll, self.coeffs)
+
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""

@@ -46,6 +46,7 @@ from idylls.poly import (
     monomial_substitute,
     parse_idyll_name,
     parse_poly,
+    read_poly,
     rescale_quotient,
 )
 
@@ -96,6 +97,12 @@ def test_oracle_multiplicity_literal_enumeration():
 def test_exhaustive_root_set():
     f = Polynomial(S, [0, -1, 1])
     assert exhaustive_root_set(f) == {0, 1}
+
+
+def test_exhaustive_root_set_ends_on_the_default_budget():
+    # one witness costs about 2,000 states at each of 1,009 points
+    with pytest.raises(SearchCapExceeded):
+        exhaustive_root_set(read_poly("field:GF(1009)", "1 + x^2"))
 
 
 def test_exhaustive_rejects_infinite_carriers():
