@@ -156,6 +156,9 @@ class FormalSum:
     def __setattr__(self, *a):
         raise AttributeError("FormalSum is immutable")
 
+    def __reduce__(self):
+        return FormalSum, (self.idyll, self.terms)
+
     def __iter__(self):
         return iter(self.terms)
 

@@ -255,16 +255,25 @@ def rule_multiplicity(f: Polynomial, a) -> tuple:
 
 
 def mult_closed_form(f: Polynomial, a) -> int:
-    """The count of `rule_multiplicity`, without its chain."""
-    return rule_multiplicity(f, a)[0]
+    """The count of `rule_multiplicity`; its steps stay in the unit frame."""
+    if f.is_zero:
+        raise StructuralError("the zero polynomial has no multiplicity")
+    return sum(1 for _ in _rule_steps(f, a))
 
 
 def _rule_quotients(f: Polynomial, a):
-    """The quotients of the rule chain f -> q1 -> q2 -> ... at a, lazily.
+    """The rule chain's quotients f -> q1 -> q2 -> ... at a, lazily."""
+    for G, r in _rule_steps(f, a):
+        yield G if r is None else denormalise_quotient(G, a, r)
 
-    Each step divides F = q(a*x)/r at one. Its quotient G maps back to the
+
+def _rule_steps(f: Polynomial, a):
+    """The rule chain at a in the unit frame, lazily: (G, r) per step.
+
+    Each step divides F = q(a*x)/r at one; its quotient G maps back to the
     next q = r*G(x/a)/a, whose frame is then G/u with r*u/a, for u the unit
     of a (a itself outside an extension): no substitution after the first.
+    At the zero point G is q itself and r is None.
     """
     B = f.idyll
     B.require(a)
@@ -272,13 +281,14 @@ def _rule_quotients(f: Polynomial, a):
         # at the zero point, f shifted down; the zero polynomial divides itself
         while B.is_zero(f.coeff(0)):
             f = f.shift_down(1)
-            yield f
+            yield f, None
         return
     F, r = normalise(f, a)
     u = ExtElement(a.unit, B.one.level) if isinstance(B, ExtensionDescriptor) else a
+    u_inv, step = B.inv(u), B.mul(u, B.inv(a))
     while (G := _quotient_at_one(F)) is not None:
-        yield denormalise_quotient(G, a, r)
-        F, r = G.scale(B.inv(u)), B.mul(r, B.mul(u, B.inv(a)))
+        yield G, r
+        F, r = G if u == B.one else G.scale(u_inv), B.mul(r, step)
 
 
 def _quotient_at_one(F: Polynomial):
@@ -463,16 +473,27 @@ def root_candidates(f: Polynomial, cap: int = None):
 
 
 def root_multiplicities(f: Polynomial, cap: int = None) -> list:
-    """Every root of f with its search multiplicity: [(a, m)], m > 0.
+    """Every root of f with its multiplicity: [(a, m)], m > 0.
 
-    Candidates come from `root_candidates`, in its order. cap (or
-    IDYLL_SEARCH_CAP) bounds the search states of the whole query: the
-    candidate sieve and every candidate's chain search together.
+    Candidates come from `root_candidates`, in its order. m is the rule
+    chain's count over Krasner, signs and split extensions of a base with a
+    rule, else the search's (over a field, already synthetic division). cap
+    (or IDYLL_SEARCH_CAP) bounds the whole query: the sieve, then per
+    candidate its chain search, or one state and one per rule step.
     """
+    B = f.idyll
+    base = B.base if isinstance(B, ExtensionDescriptor) and B.is_split else None
+    by_rule = isinstance(B, (KrasnerIdyll, SignIdyll)) or isinstance(
+        base, (KrasnerIdyll, SignIdyll, RationalFieldIdyll, FiniteFieldIdyll)
+    )
     budget = _budget(cap)
     found = []
     for a in root_candidates(f, budget):
-        m, _ = multiplicity(f, a, cap=budget)
+        if by_rule:
+            budget.spend()
+            m = len([budget.spend() for _ in _rule_steps(f, a)])
+        else:
+            m, _ = multiplicity(f, a, cap=budget)
         if m > 0:
             found.append((a, m))
     return found
@@ -481,10 +502,11 @@ def root_multiplicities(f: Polynomial, cap: int = None) -> list:
 def degree_bound_check(f: Polynomial, cap: int = None) -> tuple:
     """Sum of search multiplicities over all candidates vs the degree.
 
-    cap bounds the search states of the whole check, as in
-    `root_multiplicities`.
+    The search, not the rule chain, so the bound stays independent of the
+    lifting theorem. cap bounds the whole check, as in `root_multiplicities`.
     """
     if f.is_zero:
         raise StructuralError("the zero polynomial has no degree bound")
-    total = sum(m for _, m in root_multiplicities(f, cap))
+    budget = _budget(cap)
+    total = sum(multiplicity(f, a, cap=budget)[0] for a in root_candidates(f, budget))
     return total, f.degree, total <= f.degree

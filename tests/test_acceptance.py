@@ -36,11 +36,19 @@ from idylls.mult import (
     mult_closed_form,
     multiplicity,
     root_candidates,
+    root_multiplicities,
+    rule_multiplicity,
 )
 from idylls.newton import initial_form_at, initial_form_rounds, newton_polygon
 from idylls.oag import oag_sub
 from idylls.oracle import oracle_multiplicity
-from idylls.poly import Polynomial, factor_check, sign_of_poly, trop_of_rational
+from idylls.poly import (
+    Polynomial,
+    factor_check,
+    sign_of_poly,
+    trop_of_rational,
+    trop_real_of_rational,
+)
 
 K = krasner()
 S = sign_idyll()
@@ -84,6 +92,19 @@ def _rand_ext_poly(rng, B, max_deg=5, zero_p=0.25):
             coeffs.append(B.elem(unit, level if B.rank > 1 else level[0]))
         f = Polynomial(B, coeffs)
         if not f.is_zero and f.degree >= 1:
+            return f
+
+
+def _rand_finite_poly(rng, B):
+    units = [u for u in B.elements if not B.is_zero(u)]
+    while True:
+        n = rng.randrange(1, 6)
+        coeffs = [
+            B.zero if (rng.random() < 0.3 and i < n) else rng.choice(units)
+            for i in range(n + 1)
+        ]
+        f = Polynomial(B, coeffs)
+        if not f.is_zero:
             return f
 
 
@@ -224,28 +245,52 @@ def test_lifting_chains_sweep():
 @criterion(8, "degree bound: root counts sum to at most the degree, 6 x 10^4")
 def test_degree_bound_sweep():
     rng = random.Random(41)
-
-    def finite_poly(B):
-        units = [u for u in B.elements if not B.is_zero(u)]
-        while True:
-            n = rng.randrange(1, 6)
-            coeffs = [
-                B.zero if (rng.random() < 0.3 and i < n) else rng.choice(units)
-                for i in range(n + 1)
-            ]
-            f = Polynomial(B, coeffs)
-            if not f.is_zero:
-                return f
-
     for B in (K, S):
         for _ in range(10_000):
-            total, degree, ok = degree_bound_check(finite_poly(B))
+            total, degree, ok = degree_bound_check(_rand_finite_poly(rng, B))
             assert ok, (B.name, total, degree)
     for B in (T, TR, T2, S2):
         for _ in range(10_000):
             f = _rand_ext_poly(rng, B)
             total, degree, ok = degree_bound_check(f)
             assert ok, (B.name, str(f), total, degree)
+
+
+def test_rule_counted_roots_match_the_search():
+    # `root_multiplicities` counts by the rule chain over these idylls (over
+    # an extension, by the lifting theorem); the search checks it on every
+    # kind of input `idylls roots` reads, and the degree bound, which runs
+    # the search, sums the same counts
+    rng = random.Random(2022)
+    polys = [_rand_ext_poly(rng, B) for B in (T, TR, T2, S2) for _ in range(150)]
+    polys += [_rand_finite_poly(rng, B) for B in (K, S) for _ in range(300)]
+    for _ in range(150):
+        lower = [Fraction(rng.randint(-12, 12)) for _ in range(rng.randrange(1, 6))]
+        F = Polynomial(Q, lower + [Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))])
+        p = rng.choice([2, 3])
+        polys += [trop_of_rational(F, p), trop_real_of_rational(F, p)]
+    G5 = trop_extension(finite_field(5))
+    for _ in range(150):
+        n = rng.randrange(1, 5)
+        polys.append(Polynomial(G5, [
+            G5.zero if rng.random() < 0.25 and i < n
+            else G5.elem(rng.randrange(1, 5), Fraction(rng.randrange(-4, 5), rng.choice([1, 2])))
+            for i in range(n + 1)
+        ]))
+    roots = set()
+    for f in polys:
+        found = root_multiplicities(f)
+        searched = [(a, m) for a in root_candidates(f) if (m := multiplicity(f, a)[0]) > 0]
+        assert found == searched, (f.idyll.name, str(f))
+        assert degree_bound_check(f)[0] == sum(m for _, m in found)
+        for a, m in found:
+            assert rule_multiplicity(f, a)[1].verify(), (str(f), f.idyll.format_element(a))
+        roots |= {(f.idyll.name, m) for _, m in found}
+    # every idyll has roots, and multiple roots occur on each kind of input
+    assert {name for name, m in roots if m > 1} == {
+        "trop", "trop-real", "trop:rank-2", "trop-real:rank-2", "krasner", "sign",
+        "ext:field:GF(5):1",
+    }
 
 
 @criterion(9, "closed forms match exhaustive search on all small instances")

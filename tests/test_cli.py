@@ -347,6 +347,16 @@ def test_roots_subcommand(capsys):
     assert out["total"] == 3 and out["degree"] == 3
 
 
+def test_roots_reach_past_the_search_cap(monkeypatch, capsys):
+    # the chain search at 1^0 exceeds the default cap from degree 10; the
+    # rule chain answers in one state per step
+    monkeypatch.delenv("IDYLL_SEARCH_CAP", raising=False)
+    poly = " + ".join(f"{(-1) ** i}^0*x^{i}" for i in range(11))
+    rc = main(["roots", "--idyll", "trop-real", "--poly", poly])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["  1^0  mult 10"]
+
+
 def test_back_to_back_subcommands_do_not_leak(capsys):
     roots = ["roots", "--idyll", "trop-real", "--poly", "1 - x + 1^1*x^2", "--json"]
     mult = ["mult", "--idyll", "sign", "--poly", "1 - x - x^2 + x^3", "--at", "1"]
@@ -625,10 +635,24 @@ def test_cap_exit_4(monkeypatch, capsys):
 
 
 def test_roots_cap_bounds_the_whole_query(monkeypatch, capsys):
-    # the three candidates need 159 states together, at most 90 each
+    # the rule chain spends one state per candidate and one per step: three
+    # candidates and multiplicities 2 + 1 + 2
+    argv = ["roots", "--idyll", "trop", "--poly", "2 + 1*x + 0*x^2 + 0*x^3 + 2*x^4 + 1*x^5"]
+    monkeypatch.setenv("IDYLL_SEARCH_CAP", "7")
+    assert main(argv) == 4
+    assert "7 states" in capsys.readouterr().err
+    monkeypatch.setenv("IDYLL_SEARCH_CAP", "8")
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "  -1/2  mult 2", "  0  mult 1", "  1  mult 2"
+    ]
+
+
+def test_degree_bound_cap_bounds_the_whole_search(monkeypatch, capsys):
+    # the search's three candidates need 159 states together, at most 90 each
     monkeypatch.setenv("IDYLL_SEARCH_CAP", "158")
     rc = main(
-        ["roots", "--idyll", "trop", "--poly", "2 + 1*x + 0*x^2 + 0*x^3 + 2*x^4 + 1*x^5"]
+        ["degree-bound", "--idyll", "trop", "--poly", "2 + 1*x + 0*x^2 + 0*x^3 + 2*x^4 + 1*x^5"]
     )
     capsys.readouterr()
     assert rc == 4

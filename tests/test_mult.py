@@ -515,8 +515,8 @@ def test_degree_bound_cap_bounds_the_whole_check():
 
 
 def test_queries_leave_no_cyclic_garbage():
-    # a query frees its partial quotients, tail pool and memo as it returns,
-    # so nothing waits for the cyclic collector
+    # a query frees its partial quotients, tail pool, memo and rule-chain
+    # generators as it returns, so nothing waits for the cyclic collector
     f = Polynomial(T, [T.elem(1, 0)] * 5)
     g = parse_poly("1 - x + 1^1*x^2", TR)
     a = T.elem(1, 0)
@@ -528,6 +528,7 @@ def test_queries_leave_no_cyclic_garbage():
         lambda: divide_once(f, a),
         lambda: degree_bound_check(g),
         lambda: rule_multiplicity(h, b),
+        lambda: root_multiplicities(h),
         lambda: lift_factorization(h, b, w),
     )
     gc.collect()

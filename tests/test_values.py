@@ -15,7 +15,7 @@ from idylls.extension import EXT_ZERO, ExtElement, ExtensionDescriptor, tropical
 from idylls.mult import FactorizationChain, multiplicity, rule_multiplicity
 from idylls.newton import Edge, NewtonPolygon, newton_polygon
 from idylls.oracle import OracleReport
-from idylls.poly import parse_poly, read_poly
+from idylls.poly import eval_sum, parse_poly, read_poly
 
 
 def _chain():
@@ -97,6 +97,7 @@ INSTANCES = [
     ("field:GF(5)", "4 + x^2", "4", multiplicity),
     ("quot:GF(5)/{1,4}", "1 + x^2", "[2]", multiplicity),
     ("trop", "2 + 1*x + 0*x^2", "1", multiplicity),
+    ("trop-real", "1^1 - x + 1^1*x^2 + x^3 + x^4", "-1^0", multiplicity),
     ("trop-real:rank-2", "1^(0,0) - 1^(0,1)*x + 1^(1,1)*x^2", "1^(-1,0)", multiplicity),
     # the search needs finitely many base units; the rule chain does not
     ("ext:field:Q:1", "-2^1 - 3^-1*x + 2^-1*x^2", "3/2^0", rule_multiplicity),
@@ -107,10 +108,11 @@ INSTANCES = [
 def test_values_survive_pickle_and_deepcopy(name, text, at, engine):
     f = read_poly(name, text)
     B = f.idyll
-    m, chain = engine(f, B.parse_element(at))
+    a = B.parse_element(at)
+    m, chain = engine(f, a)
     assert m > 0
     c = f.coeffs[0]
-    values = [f, chain, B.sum_set(c, B.mul(B.epsilon, c))]
+    values = [f, chain, B.sum_set(c, B.mul(B.epsilon, c)), eval_sum(f, a)]
     if isinstance(B, ExtensionDescriptor):
         values.append(c)
     for x in values:
