@@ -7,8 +7,13 @@ idyll or a field, over a tropical extension a finite subset enough for the
 chain length. Where chains are understood, `rule_multiplicity` builds one
 by rule and `division_rule` is its first step: the point moves to one once
 per query (`normalise`), each step applies the base's rule there, and each
-quotient moves back once. Over a split extension the rule is the base's on
-the initial form, lifted by the lift body that `lift_factorization` runs.
+quotient moves back once (`denormalise_quotient`). Over a split extension
+the rule is the base's on the initial form, lifted by the lift body that
+`lift_factorization` runs.
+
+This module alone knows that frame: F = f(a*x)/r, with r = (1, lowest
+shifted level of f at a) over an extension and one elsewhere. Each move,
+there or back, is one `monomial_substitute` pass.
 """
 
 from __future__ import annotations
@@ -30,14 +35,7 @@ from .algebra import (
 from .extension import EXT_ZERO, ExtElement, ExtensionDescriptor
 from .newton import initial_form_at, root_levels, shifted_levels
 from .oag import oag_add, oag_div, oag_scale, oag_sub
-from .poly import (
-    Polynomial,
-    denormalise_quotient,
-    eval_sum,
-    factor_check,
-    normalise,
-    rescale_quotient,
-)
+from .poly import Polynomial, eval_sum, factor_check, monomial_substitute
 
 DEFAULT_SEARCH_CAP = 100_000
 
@@ -261,6 +259,29 @@ def mult_closed_form(f: Polynomial, a) -> int:
     return sum(1 for _ in _rule_steps(f, a))
 
 
+def normalise(f: Polynomial, a) -> tuple:
+    """(F, r) with F = f(a*x)/r: a division of f at a unit a moved to one.
+
+    Over an extension r is (1, lowest shifted level of f at a's level), so
+    F's lowest level is 0 and its level-0 units are the initial form of f at
+    a, twisted by powers of the unit of a; elsewhere r is one. f is nonzero.
+    """
+    B = f.idyll
+    if not isinstance(B, ExtensionDescriptor):
+        return monomial_substitute(f, a), B.one
+    r = ExtElement(B.base.one, min(shifted_levels(f, a.level).values()))
+    return monomial_substitute(f, a, B.inv(r)), r
+
+
+def denormalise_quotient(G: Polynomial, a, r) -> Polynomial:
+    """The inverse of `normalise` for quotients: for G a quotient at one of F,
+    where (F, r) = normalise(f, a), r*G(x/a)/a is a quotient of f at a,
+    since f = r*F(x/a) = (x - a)*(r/a)*G(x/a)."""
+    B = G.idyll
+    a_inv = B.inv(a)
+    return monomial_substitute(G, a_inv, B.mul(r, a_inv))
+
+
 def _rule_quotients(f: Polynomial, a):
     """The rule chain's quotients f -> q1 -> q2 -> ... at a, lazily."""
     for G, r in _rule_steps(f, a):
@@ -395,7 +416,7 @@ def lift_factorization(f: Polynomial, a: ExtElement, g: Polynomial) -> Polynomia
     if g.idyll != E.base:
         raise StructuralError("the witness must live over the base idyll")
     F, r = normalise(f, a)
-    gu = rescale_quotient(g, a.unit)
+    gu = monomial_substitute(g, a.unit, a.unit)
     if not factor_check(Polynomial(E.base, map(E.ev0, F.coeffs)), E.base.one, gu):
         raise StructuralError("the witness does not divide the initial form")
     gt = denormalise_quotient(_lift_at_one(F, gu), a, r)

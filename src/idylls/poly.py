@@ -4,7 +4,9 @@ A polynomial is a finite coefficient list indexed by degree. Because
 addition is multivalued, "f has root a with quotient g" is not an equation
 between polynomials but a degreewise membership test: every coefficient of f
 must be reachable from the corresponding coefficients of (x - a) * g. That
-test is `factor_check`.
+test is `factor_check`, one null test per degree on its three terms.
+`monomial_substitute` builds scale*f(c*x) in one pass; the unit-point frame
+that the rule chain divides in is built from it in `idylls.mult`.
 
 The text grammar (`parse_idyll_name`, `parse_poly`) reads what `str` writes.
 The maps at the end carry a polynomial over the rationals into the sign
@@ -32,7 +34,7 @@ from .algebra import (
     sign_idyll,
     sign_of_rational,
 )
-from .extension import ExtElement, ExtensionDescriptor
+from .extension import ExtElement
 from .extension import signed_tropical, trop_extension, tropical
 
 
@@ -128,48 +130,24 @@ def eval_sum(f: Polynomial, a) -> FormalSum:
     return FormalSum(B, terms)
 
 
-def monomial_substitute(f: Polynomial, c) -> Polynomial:
-    """Substitute x -> c*x for a unit c: coefficient i picks up c^i."""
+def monomial_substitute(f: Polynomial, c, scale=None) -> Polynomial:
+    """scale*f(c*x) for a unit c: coefficient i picks up scale*c^i.
+
+    scale defaults to one. With scale = c, a quotient g of f at a becomes the
+    quotient c*g(c*x) of f(c*x) at a/c, since f(c*x) = (c*x - a)*g(c*x) =
+    (x - a/c)*c*g(c*x), degree by degree.
+    """
     B = f.idyll
     B.require(c)
     if B.is_zero(c):
         raise StructuralError("substitution unit must be nonzero")
-    coeffs, power = [], B.one
+    power = B.one if scale is None else scale
+    B.require(power)
+    coeffs = []
     for x in f.coeffs:
         coeffs.append(B.mul(power, x))
         power = B.mul(power, c)
     return Polynomial(B, coeffs)
-
-
-def rescale_quotient(g: Polynomial, c) -> Polynomial:
-    """c*g(c*x): coefficient j picks up c^(j+1).
-
-    If g is a quotient of f at a, this is a quotient of f(c*x) at a/c, since
-    f(c*x) = (c*x - a)*g(c*x) = (x - a/c)*c*g(c*x), degree by degree.
-    """
-    return monomial_substitute(g, c).scale(c)
-
-
-def normalise(f: Polynomial, a) -> tuple:
-    """(F, r) with F = f(a*x)/r: a division of f at a unit a moved to one.
-
-    Over an extension r is (1, lowest level of f(a*x)), so F's lowest level
-    is 0 and its level-0 units are the initial form of f at a, twisted by
-    powers of the unit of a; elsewhere, and for f = 0, r is one.
-    """
-    B = f.idyll
-    F = monomial_substitute(f, a)
-    if not isinstance(B, ExtensionDescriptor) or f.is_zero:
-        return F, B.one
-    r = ExtElement(B.base.one, min(c.level for c in F.coeffs if not c.is_zero))
-    return F.scale(B.inv(r)), r
-
-
-def denormalise_quotient(G: Polynomial, a, r) -> Polynomial:
-    """The inverse of `normalise` for quotients: for G a quotient at one of F,
-    where (F, r) = normalise(f, a), r*G(x/a)/a is a quotient of f at a,
-    since f = r*F(x/a) = (x - a)*(r/a)*G(x/a)."""
-    return rescale_quotient(G, G.idyll.inv(a)).scale(r)
 
 
 def factor_check(f: Polynomial, a, g: Polynomial) -> bool:
@@ -185,12 +163,8 @@ def factor_check(f: Polynomial, a, g: Polynomial) -> bool:
     B.require(a)
     top = max(f.degree, g.degree + 1)
     for i in range(top + 1):
-        terms = [
-            f.coeff(i),
-            B.mul(B.epsilon, g.coeff(i - 1)),
-            B.mul(a, g.coeff(i)),
-        ]
-        if not B.is_null(FormalSum(B, terms)):
+        terms = (f.coeff(i), B.mul(B.epsilon, g.coeff(i - 1)), B.mul(a, g.coeff(i)))
+        if not B.is_null(terms):
             return False
     return True
 

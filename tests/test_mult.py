@@ -544,23 +544,34 @@ def test_queries_leave_no_cyclic_garbage():
 
 def test_rule_chain_moves_to_the_unit_point_once(monkeypatch):
     # the chain normalises once and reads each step's initial form off the
-    # normalised polynomial, so no step computes one
-    calls = {"normalise": 0, "initial_form_at": 0}
+    # normalised polynomial, so no step computes one; each move of the frame,
+    # to the unit point or back, builds one polynomial
+    f = parse_poly("1 + x + x^2 + x^3", TR)  # f(-x) changes sign three times
+    h, w = parse_poly("1 - x + 1^1*x^2", TR), parse_poly("-1", TR.base)
+    calls = {"normalise": 0, "initial_form_at": 0, "Polynomial": 0}
 
-    def counting(name):
-        inner = getattr(mult, name)
+    def count(owner, name, key):
+        inner = getattr(owner, name)
 
         def call(*args):
-            calls[name] += 1
+            calls[key] += 1
             return inner(*args)
-        return call
+        monkeypatch.setattr(owner, name, call)
 
-    for name in calls:
-        monkeypatch.setattr(mult, name, counting(name))
-    f = parse_poly("1 + x + x^2 + x^3", TR)  # f(-x) changes sign three times
+    count(mult, "normalise", "normalise")
+    count(mult, "initial_form_at", "initial_form_at")
+    count(Polynomial, "__init__", "Polynomial")
     m, chain = rule_multiplicity(f, TR.elem(-1, 0))
+    # one frame; per step the initial form, its sign quotient, the lift, the
+    # move back and the twist by the unit of the point; the last initial form
+    assert calls == {"normalise": 1, "initial_form_at": 0, "Polynomial": 17}
     assert m == 3 and chain.verify()
-    assert calls == {"normalise": 1, "initial_form_at": 0}
+    calls.update(dict.fromkeys(calls, 0))
+    gt = lift_factorization(h, TR.elem(1, 0), w)
+    # one frame, the moved witness, the initial form, the lift, the move
+    # back, and the check of the lift's initial form
+    assert calls == {"normalise": 1, "initial_form_at": 1, "Polynomial": 6}
+    assert str(gt) == "-1^0 + 1^1*x"
 
 
 # -- root candidates ------------------------------------------------------------

@@ -1,8 +1,11 @@
-"""The small value classes, and what `import idylls` loads from the stdlib."""
+"""The small value classes, what `import idylls` loads from the stdlib, and
+where the README says each function lives."""
 
 import copy
+import importlib
 import os
 import pickle
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -142,3 +145,26 @@ def test_import_idylls_loads_no_heavy_stdlib_modules():
     assert library == ""
     # the command line alone parses arguments and writes JSON
     assert {"argparse", "json"} <= set(cli.split())
+
+
+def _api_heads():
+    """The head of each bullet under the README's "What the library computes":
+    its text up to the first " - ", whitespace joined across lines."""
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("## What the library computes\n", 1)[1].split("\n## ", 1)[0]
+    return [" ".join(b.split()).split(" - ", 1)[0] for b in section.split("\n- ")[1:]]
+
+
+def test_readme_api_names_live_where_the_readme_says():
+    # a bullet's `name(` lives in the module its "(in idylls.X)" names, else
+    # in idylls itself
+    found = 0
+    for head in _api_heads():
+        where = re.search(r"\(in `(idylls\.\w+)`\)", head)
+        module = importlib.import_module(where.group(1)) if where else idylls
+        for name in re.findall(r"`(\w+)\(", head):
+            assert hasattr(module, name), f"README: {name} not in {module.__name__}"
+            found += 1
+    assert found >= 23  # the section was found and read whole
