@@ -9,7 +9,9 @@ by rule and `division_rule` is its first step: the point moves to one once
 per query (`normalise`), each step applies the base's rule there, and each
 quotient moves back once (`denormalise_quotient`). Over a split extension
 the rule is the base's on the initial form, lifted by the lift body that
-`lift_factorization` runs.
+`lift_factorization` runs. Every engine spends one query budget.
+`root_multiplicities` over a split extension of a whole base lifts nothing:
+it counts each level's initial form over the base.
 
 This module alone knows that frame: F = f(a*x)/r, with r = (1, lowest
 shifted level of f at a) over an extension and one elsewhere. Each move,
@@ -33,7 +35,7 @@ from .algebra import (
     UnsupportedOperationError,
 )
 from .extension import EXT_ZERO, ExtElement, ExtensionDescriptor
-from .newton import initial_form_at, root_levels, shifted_levels
+from .newton import initial_form_at, initial_form_split, root_levels, shifted_levels
 from .oag import oag_add, oag_div, oag_scale, oag_sub
 from .poly import Polynomial, eval_sum, factor_check, monomial_substitute
 
@@ -232,31 +234,34 @@ def division_rule(f: Polynomial, a) -> Polynomial:
     root, and UnsupportedOperationError over a twisted extension or a base
     with no rule (quotient hyperfields, f1pm, phase) before it tests the root.
     """
-    g = next(_rule_quotients(f, a), None)
+    g = next(_rule_quotients(f, a, _Budget(2)), None)  # one step and its root test
     if g is None:
         raise StructuralError(f"{f.idyll.format_element(a)} is not a root of {f}")
     return g
 
 
-def rule_multiplicity(f: Polynomial, a) -> tuple:
+def rule_multiplicity(f: Polynomial, a, cap: int = None) -> tuple:
     """Longest division chain at a, by rule: (count, chain).
 
     Applies `_quotient_at_one` while a is still a root, one root test per
     step. Each rule lowers the multiplicity by exactly one: over signs the
     count is Descartes's, over a split extension that of the initial form at
-    a over the base (the lifting theorem).
+    a over the base (the lifting theorem). cap (or IDYLL_SEARCH_CAP) bounds
+    the chain: it spends one state up front and one per step, so a chain of
+    length m needs a cap of m + 1.
     """
     if f.is_zero:
         raise StructuralError("the zero polynomial has no multiplicity")
-    quotients = tuple(_rule_quotients(f, a))
+    quotients = tuple(_rule_quotients(f, a, _budget(cap)))
     return len(quotients), FactorizationChain(f, a, quotients)
 
 
-def mult_closed_form(f: Polynomial, a) -> int:
-    """The count of `rule_multiplicity`; its steps stay in the unit frame."""
+def mult_closed_form(f: Polynomial, a, cap: int = None) -> int:
+    """The count of `rule_multiplicity`, spending cap alike; its steps stay
+    in the unit frame."""
     if f.is_zero:
         raise StructuralError("the zero polynomial has no multiplicity")
-    return sum(1 for _ in _rule_steps(f, a))
+    return sum(1 for _ in _rule_steps(f, a, _budget(cap)))
 
 
 def normalise(f: Polynomial, a) -> tuple:
@@ -282,32 +287,36 @@ def denormalise_quotient(G: Polynomial, a, r) -> Polynomial:
     return monomial_substitute(G, a_inv, B.mul(r, a_inv))
 
 
-def _rule_quotients(f: Polynomial, a):
+def _rule_quotients(f: Polynomial, a, budget: _Budget):
     """The rule chain's quotients f -> q1 -> q2 -> ... at a, lazily."""
-    for G, r in _rule_steps(f, a):
+    for G, r in _rule_steps(f, a, budget):
         yield G if r is None else denormalise_quotient(G, a, r)
 
 
-def _rule_steps(f: Polynomial, a):
+def _rule_steps(f: Polynomial, a, budget: _Budget):
     """The rule chain at a in the unit frame, lazily: (G, r) per step.
 
     Each step divides F = q(a*x)/r at one; its quotient G maps back to the
     next q = r*G(x/a)/a, whose frame is then G/u with r*u/a, for u the unit
     of a (a itself outside an extension): no substitution after the first.
-    At the zero point G is q itself and r is None.
+    At the zero point G is q itself and r is None. Spends one state of
+    budget up front, for the last root test, and one per step.
     """
     B = f.idyll
     B.require(a)
+    budget.spend()
     if f.is_zero or B.is_zero(a):
         # at the zero point, f shifted down; the zero polynomial divides itself
         while B.is_zero(f.coeff(0)):
             f = f.shift_down(1)
+            budget.spend()
             yield f, None
         return
     F, r = normalise(f, a)
     u = ExtElement(a.unit, B.one.level) if isinstance(B, ExtensionDescriptor) else a
     u_inv, step = B.inv(u), B.mul(u, B.inv(a))
     while (G := _quotient_at_one(F)) is not None:
+        budget.spend()
         yield G, r
         F, r = G if u == B.one else G.scale(u_inv), B.mul(r, step)
 
@@ -346,7 +355,7 @@ def _sign_quotient(f: Polynomial):
 
     Below the first sign change the quotient carries the opposite of the
     leading run's sign; from there on, position i copies the sign of the
-    next supported coefficient above i.
+    next supported coefficient above i, carried down in one sweep.
     """
     support = f.support
     s0 = f.coeffs[support[0]]
@@ -354,8 +363,10 @@ def _sign_quotient(f: Polynomial):
     if change is None:
         return None
     g = [0] * f.degree
-    for i in range(support[0], f.degree):
-        g[i] = -s0 if i < change else f.coeffs[min(p for p in support if p > i)]
+    above = f.coeffs[-1]
+    for i in range(f.degree - 1, support[0] - 1, -1):
+        g[i] = -s0 if i < change else above
+        above = f.coeffs[i] or above
     return Polynomial(f.idyll, g)
 
 
@@ -496,28 +507,42 @@ def root_candidates(f: Polynomial, cap: int = None):
 def root_multiplicities(f: Polynomial, cap: int = None) -> list:
     """Every root of f with its multiplicity: [(a, m)], m > 0.
 
-    Candidates come from `root_candidates`, in its order. m is the rule
-    chain's count over Krasner, signs and split extensions of a base with a
-    rule, else the search's (over a field, already synthetic division). cap
-    (or IDYLL_SEARCH_CAP) bounds the whole query: the sieve, then per
-    candidate its chain search, or one state and one per rule step.
+    Over a split extension of a whole base the roots of level g (from
+    `root_levels`) are (u, g) for u a nonzero root of the initial form at g,
+    with its multiplicity over the base (the lifting theorem); the units
+    come from the base's `root_candidates` of that form, and the zero point
+    comes last. Elsewhere the points are `root_candidates`, in its order. m
+    is the rule chain's count over Krasner, signs and, under an extension,
+    Q and GF(p); else the search's (over a field, already synthetic
+    division). cap (or IDYLL_SEARCH_CAP) bounds the whole query: each sieve,
+    then per point its chain search, or one state and one per rule step.
     """
     B = f.idyll
-    base = B.base if isinstance(B, ExtensionDescriptor) and B.is_split else None
-    by_rule = isinstance(B, (KrasnerIdyll, SignIdyll)) or isinstance(
-        base, (KrasnerIdyll, SignIdyll, RationalFieldIdyll, FiniteFieldIdyll)
-    )
+    if f.is_zero:
+        raise StructuralError("every element is a root of the zero polynomial")
     budget = _budget(cap)
+    if not (isinstance(B, ExtensionDescriptor) and B.is_split and B.base.is_whole):
+        by_rule = isinstance(B, (KrasnerIdyll, SignIdyll))
+        cands = root_candidates(f, budget)
+        return [(a, m) for a in cands if (m := _count(f, a, budget, by_rule))]
+    # bases with a rule; over Q and GF(p) it is synthetic division, one state
+    # a step, where the search spends one per quotient coefficient
+    ruled = (KrasnerIdyll, SignIdyll, RationalFieldIdyll, FiniteFieldIdyll)
+    by_rule = isinstance(B.base, ruled)
     found = []
-    for a in root_candidates(f, budget):
-        if by_rule:
-            budget.spend()
-            m = len([budget.spend() for _ in _rule_steps(f, a)])
-        else:
-            m, _ = multiplicity(f, a, cap=budget)
-        if m > 0:
-            found.append((a, m))
+    for g in root_levels(f):
+        P, _ = initial_form_split(f, g)
+        for u in root_candidates(P, budget):
+            if not B.base.is_zero(u) and (m := _count(P, u, budget, by_rule)):
+                found.append((ExtElement(u, g), m))
+    if 0 not in f.support and (m := _count(f, EXT_ZERO, budget, by_rule)):
+        found.append((EXT_ZERO, m))
     return found
+
+
+def _count(f: Polynomial, a, budget: _Budget, by_rule: bool) -> int:
+    """The multiplicity of f at a by the rule chain, or else by the search."""
+    return mult_closed_form(f, a, budget) if by_rule else multiplicity(f, a, budget)[0]
 
 
 def degree_bound_check(f: Polynomial, cap: int = None) -> tuple:

@@ -648,6 +648,25 @@ def test_roots_cap_bounds_the_whole_query(monkeypatch, capsys):
     ]
 
 
+def test_closed_engine_stops_at_the_cap(monkeypatch, capsys):
+    # the rule chain spends one state up front and one per step; the sign
+    # polynomial changes sign eight times at 1
+    argv = ["mult", "--idyll", "sign", "--at", "1", "--engine", "closed", "--poly",
+            "1 - x + x^2 - x^3 + x^4 - x^5 + x^6 - x^7 + x^8"]
+    monkeypatch.setenv("IDYLL_SEARCH_CAP", "8")
+    assert main(argv) == 4
+    assert "8 states" in capsys.readouterr().err
+    monkeypatch.setenv("IDYLL_SEARCH_CAP", "9")
+    assert main(argv) == 0
+    assert capsys.readouterr().out.endswith(" at 1 = 8\n")
+
+
+def test_roots_over_the_rationals_extension(capsys):
+    # the roots of each level are the rational roots of its initial form
+    assert main(["roots", "--idyll", "ext:field:Q:1", "--poly", "1 + 1^1*x + 2^3*x^2"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["  -1/2^-2  mult 1", "  -1^-1  mult 1"]
+
+
 def test_degree_bound_cap_bounds_the_whole_search(monkeypatch, capsys):
     # the search's three candidates need 159 states together, at most 90 each
     monkeypatch.setenv("IDYLL_SEARCH_CAP", "158")

@@ -346,6 +346,47 @@ def test_rule_chain_over_the_rationals_extension_is_the_initial_form_count():
     assert roots > 100
 
 
+@pytest.mark.parametrize("name", ["ext:quot:GF(5)/{1,4}:1", "ext:field:GF(5):1"])
+def test_extension_roots_are_the_initial_forms_roots(name):
+    # root_multiplicities counts each level's initial form over the base (by
+    # search over the quotient hyperfield, by rule over GF(5)); the search
+    # over the extension, at every point root_candidates pairs, agrees
+    E = parse_idyll_name(name)
+    rng = random.Random(f"newton roots {name}")
+    roots = []
+    for _ in range(120):
+        f = _random_poly(rng, E, rng.randint(1, 4))
+        searched = [(a, m) for a in root_candidates(f) if (m := multiplicity(f, a)[0])]
+        assert root_multiplicities(f) == searched, str(f)
+        roots += [m for _, m in searched]
+    assert len(roots) > 100 and max(roots) > 1, name
+
+
+def test_rationals_extension_roots_are_the_initial_forms_roots():
+    # no unit list exists to pair with the levels, so the units come from each
+    # initial form's rational sieve; every root's rule chain verifies with
+    # the same count, and the counts keep the degree bound
+    E = parse_idyll_name("ext:field:Q:1")
+    f = parse_poly("1 + 1^1*x + 2^3*x^2", E)
+    assert root_multiplicities(f) == [(E.elem(Fraction(-1, 2), -2), 1), (E.elem(-1, -1), 1)]
+    g = parse_poly("1^1*x + 2^2*x^2 + 1^3*x^3", E)  # x * (1 + 1^1*x)^2
+    assert root_multiplicities(g) == [(E.elem(-1, -1), 2), (EXT_ZERO, 1)]
+    rng = random.Random(2)
+    roots = 0
+    for _ in range(150):
+        f = Polynomial(E, [
+            E.elem(Fraction(rng.choice([1, -1, 2, -2, 4])), rng.randint(-2, 2))
+            for _ in range(rng.randint(2, 5))
+        ])
+        found = root_multiplicities(f)
+        for a, m in found:
+            count, chain = rule_multiplicity(f, a)
+            assert count == m and chain.verify(), (str(f), E.format_element(a))
+        assert sum(m for _, m in found) <= f.degree, str(f)
+        roots += len(found)
+    assert roots > 100
+
+
 def test_search_matches_exhaustive_on_all_small_sign_polys():
     for coeffs in itertools.product((0, 1, -1), repeat=4):
         f = Polynomial(S, coeffs)
@@ -512,6 +553,47 @@ def test_degree_bound_cap_bounds_the_whole_check():
     with pytest.raises(SearchCapExceeded):
         degree_bound_check(f, cap=158)
     assert degree_bound_check(f, cap=159) == (5, 5, True)
+
+
+def test_rule_engines_spend_one_state_up_front_and_one_per_step():
+    # eight sign changes at 1, and three zero coefficients below x^3 at 0:
+    # a cap equal to the chain length stops the chain, one more answers
+    alternating = Polynomial(S, [(-1) ** i for i in range(9)])
+    for f, a, m in ((alternating, 1, 8), (Polynomial(S, [0, 0, 0, 1, 1]), 0, 3)):
+        for engine in (rule_multiplicity, mult_closed_form):
+            with pytest.raises(SearchCapExceeded):
+                engine(f, a, cap=m)
+        assert rule_multiplicity(f, a, cap=m + 1)[0] == mult_closed_form(f, a, cap=m + 1) == m
+
+
+def test_sign_rule_step_reads_linearly():
+    # one sign quotient reads each coefficient and support entry a bounded
+    # number of times, so doubling the degree at most doubles the reads
+    class Counted(tuple):
+        reads = 0
+
+        def __getitem__(self, i):
+            Counted.reads += 1
+            return tuple.__getitem__(self, i)
+
+        def __iter__(self):
+            for x in tuple.__iter__(self):
+                Counted.reads += 1
+                yield x
+
+    class CountedPolynomial(Polynomial):
+        @property
+        def support(self):
+            return Counted(Polynomial.support.fget(self))
+
+    def reads(n):
+        f = CountedPolynomial(S, [(-1) ** i for i in range(n + 1)])
+        object.__setattr__(f, "coeffs", Counted(f.coeffs))
+        Counted.reads = 0
+        assert mult._sign_quotient(f).degree == n - 1
+        return Counted.reads
+
+    assert reads(400) <= 2 * reads(200) + 8
 
 
 def test_queries_leave_no_cyclic_garbage():
