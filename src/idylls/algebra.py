@@ -35,10 +35,6 @@ from functools import cached_property, lru_cache
 
 from .oag import ParseError, StructuralError, format_rational
 
-# Any value interpretable by some descriptor; see the module docstring.
-MonoidElement = object
-
-
 class ForeignElementError(StructuralError):
     """An element was handed to a descriptor that does not contain it."""
 
@@ -53,9 +49,12 @@ class Record:
     thirds of ``import idylls``.
 
     The fields are the subclass's ``__slots__``; ``__init__`` takes them in
-    order and sets each once, and assignment then raises AttributeError. An
-    instance equals only an instance of its own class; hash, repr, pickle
-    and deepcopy read the fields in order.
+    order and sets each once, and assignment or deletion then raises
+    AttributeError. A subclass may keep its own ``__init__`` that checks and
+    normalises the fields it is given, since pickle and deepcopy rebuild
+    through it from the normalised fields. An instance equals only an
+    instance of its own class; hash, repr, pickle and deepcopy read the
+    fields in order.
     """
 
     __slots__ = ()
@@ -133,7 +132,7 @@ class SumSet(Record):
         return hash((self.core, self.tail_above))
 
 
-class FormalSum:
+class FormalSum(Record):
     """A finite multiset of elements of one idyll, zeros dropped.
 
     Multiset semantics matter: 1 + 1 is not 1. The empty sum plays the role
@@ -153,27 +152,11 @@ class FormalSum:
         object.__setattr__(self, "idyll", idyll)
         object.__setattr__(self, "terms", tuple(kept))
 
-    def __setattr__(self, *a):
-        raise AttributeError("FormalSum is immutable")
-
-    def __reduce__(self):
-        return FormalSum, (self.idyll, self.terms)
-
     def __iter__(self):
         return iter(self.terms)
 
     def __len__(self):
         return len(self.terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FormalSum)
-            and self.idyll == other.idyll
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.idyll, self.terms))
 
     def __repr__(self):
         body = " + ".join(self.idyll.format_element(t) for t in self.terms) or "0"

@@ -187,15 +187,16 @@ def multiplicity(f: Polynomial, a, cap: int = None) -> tuple:
     """Longest division chain at a, by exhaustive search: (count, chain).
 
     cap (or IDYLL_SEARCH_CAP) bounds the search states of the whole query,
-    summed over every division step of the chain search.
+    summed over every division step, or over the rule chain that answers at
+    the zero point.
     """
     B = f.idyll
     B.require(a)
     if f.is_zero:
         raise StructuralError("the zero polynomial has no multiplicity")
-    if B.is_zero(a):
-        return rule_multiplicity(f, a)
     budget = _budget(cap)
+    if B.is_zero(a):
+        return rule_multiplicity(f, a, budget)
     m, quotients = _longest_chain(f, lambda g: divide_once(g, a, budget), {})
     return m, FactorizationChain(f, a, quotients)
 

@@ -312,12 +312,9 @@ _QUERIES = {
 
 
 class OracleReport(Record):
-    """One checked row: mutable and unhashable, unlike the other records."""
+    """One checked row."""
 
     __slots__ = ("name", "expected", "computed", "passed")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def line(self) -> str:
         status = "ok" if self.passed else "MISMATCH"

@@ -13,6 +13,10 @@ The maps at the end carry a polynomial over the rationals into the sign
 idyll and the (signed) tropical numbers, coefficient by coefficient;
 `read_poly` reads an instance as the command line names it, an idyll, a
 literal and an optional prime that selects one of those maps.
+
+`Polynomial`, like `FormalSum`, is an `algebra.Record`: frozen, equal only
+to a polynomial with the same idyll and coefficients, and rebuilt through
+its constructor by pickle and deepcopy.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .algebra import (
     FormalSum,
     Idyll,
     ParseError,
+    Record,
     StructuralError,
     f1pm,
     finite_field,
@@ -38,7 +43,7 @@ from .extension import ExtElement
 from .extension import signed_tropical, trop_extension, tropical
 
 
-class Polynomial:
+class Polynomial(Record):
     """Immutable coefficient vector over a fixed idyll, lowest degree first."""
 
     __slots__ = ("idyll", "coeffs")
@@ -52,13 +57,6 @@ class Polynomial:
             coeffs.pop()
         object.__setattr__(self, "idyll", idyll)
         object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
-
-    def __reduce__(self):
-        # pickle and deepcopy rebuild through __init__, not the guard above
-        return Polynomial, (self.idyll, self.coeffs)
 
     @property
     def degree(self) -> int:
@@ -89,16 +87,6 @@ class Polynomial:
             if not self.idyll.is_zero(self.coeffs[i]):
                 raise StructuralError(f"coefficient of x^{i} is nonzero")
         return Polynomial(self.idyll, self.coeffs[k:])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Polynomial)
-            and self.idyll == other.idyll
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.idyll, self.coeffs))
 
     def __str__(self):
         if self.is_zero:

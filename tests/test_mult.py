@@ -566,6 +566,20 @@ def test_rule_engines_spend_one_state_up_front_and_one_per_step():
         assert rule_multiplicity(f, a, cap=m + 1)[0] == mult_closed_form(f, a, cap=m + 1) == m
 
 
+def test_the_zero_point_spends_the_query_budget():
+    # the search hands the zero point to the rule chain with its own budget,
+    # one state up front and one per step, not a fresh default cap
+    f = Polynomial(S, [0, 0, 0, 1])
+    with pytest.raises(SearchCapExceeded):
+        multiplicity(f, 0, cap=3)
+    assert multiplicity(f, 0, cap=4)[0] == 3
+    # the check's candidates, zero among them, spend 12 states together
+    g = parse_poly("0*x + 0*x^2 + 0*x^3", T)
+    with pytest.raises(SearchCapExceeded):
+        degree_bound_check(g, cap=11)
+    assert degree_bound_check(g, cap=12) == (3, 3, True)
+
+
 def test_sign_rule_step_reads_linearly():
     # one sign quotient reads each coefficient and support entry a bounded
     # number of times, so doubling the degree at most doubles the reads
