@@ -19,9 +19,10 @@ multiplication and read their sum sets off representatives.
 
 Elements are plain values interpreted by their owning descriptor: small ints
 for the finite idylls, prime-field residues, and the least residue of each
-GF(p)/G class; Fraction for rationals and phase angles (fractions of a full
-turn), with None for the phase zero; ExtElement for tropical extensions.
-Each descriptor knows its own zero; formal sums drop zeros on construction.
+GF(p)/G class; int or Fraction for rationals, checked once by ``contains``
+and ``parse_element``; Fraction for phase angles (fractions of a full turn),
+with None for the phase zero; ExtElement for tropical extensions. Each
+descriptor knows its own zero; formal sums drop zeros on construction.
 """
 
 from __future__ import annotations
@@ -256,9 +257,10 @@ class Idyll:
 class FiniteIdyll(Idyll):
     """A finite carrier: listed elements plus the null rule of a subclass.
 
-    ``elements`` lists zero, then one, then the other units, in sort order.
-    Multiplication defaults to the integer product and every unit is its own
-    inverse, as in {0, 1} and {0, 1, -1}; other carriers override both.
+    ``elements`` lists zero, then one, then the other units, in sort order:
+    ``elements[1:]`` are the units, which `idylls.mult` and the oracle read.
+    Multiplication defaults to the integer product and every unit is its
+    own inverse, as in {0, 1} and {0, 1, -1}; other carriers override both.
     """
 
     def __init__(self, name: str, kind: str, elements: Sequence, epsilon, is_whole: bool):
@@ -465,7 +467,7 @@ class RationalFieldIdyll(Idyll):
         return x == 0
 
     def mul(self, a, b):
-        return Fraction(a) * Fraction(b)
+        return a * b
 
     def inv(self, a):
         if a == 0:
@@ -473,10 +475,10 @@ class RationalFieldIdyll(Idyll):
         return 1 / Fraction(a)
 
     def sort_key(self, x):
-        return (1,) if x == 0 else (0, Fraction(x))
+        return (1,) if x == 0 else (0, x)
 
     def format_element(self, x):
-        return format_rational(Fraction(x))
+        return format_rational(x)
 
     def parse_element(self, text):
         try:
@@ -485,10 +487,10 @@ class RationalFieldIdyll(Idyll):
             raise ParseError(f"not a rational: {text!r}") from None
 
     def null_terms(self, terms):
-        return sum(terms, Fraction(0)) == 0
+        return sum(terms) == 0
 
     def sum_set(self, a, b):
-        return SumSet(frozenset({Fraction(a) + Fraction(b)}))
+        return SumSet(frozenset({a + b}))
 
     def sample_elements(self, rng):
         pool = [Fraction(n, d) for n in range(-3, 4) for d in (1, 2, 3)]

@@ -298,7 +298,7 @@ class ExtensionDescriptor(Idyll):
         """
         base = self.base
         if base.elements is not None and len(base.elements) <= EXHAUSTIVE_CARRIER:
-            units = [u for u in base.elements if not base.is_zero(u)]
+            units = base.elements[1:]
         else:
             drawn = [u for u in base.sample_elements(rng) if not base.is_zero(u)]
             units = list(

@@ -125,8 +125,9 @@ def divide_once(f: Polynomial, a, cap: int = None) -> list:
     self-cancelling run only needs some level strictly between two
     coefficient levels. The oracle in `idylls.oracle`, whose pool holds
     every level offered here, cross-checks it. Each partial quotient, a
-    completed one included, spends a state of cap; `multiplicity` passes
-    its own budget for the whole chain.
+    completed one included, spends a state of cap, before a position's tail
+    offers are built; `multiplicity` passes its own budget for the whole
+    chain. Partial quotients are linked cells (d_i, rest): a state is O(1).
     """
     B = f.idyll
     B.require(a)
@@ -136,12 +137,12 @@ def divide_once(f: Polynomial, a, cap: int = None) -> list:
         return []
     budget = _budget(cap)
     pool = None
-    partial = [()]  # suffixes (d_i, ..., d_(n-1)); d_n is zero
+    partial = [()]  # suffixes d_i, ..., d_(n-1) as cells (d_i, rest); d_n is zero
     for i in range(f.degree, 0, -1):
         grown = []
         for d in partial:
             s = B.sum_set(f.coeff(i), B.mul(a, d[0]) if d else B.zero)
-            offers = list(s.core)
+            offers = s.core
             if s.tail_above is not None:
                 # the pool offers level t for d_(i-1) as t - i*gamma, for t
                 # strictly above the tail bound (so above every core level)
@@ -151,15 +152,25 @@ def divide_once(f: Polynomial, a, cap: int = None) -> list:
                 shift = oag_scale(gamma, i)
                 above = bisect_right(levels, oag_add(s.tail_above, shift))
                 tail = [oag_sub(t, shift) for t in levels[above:]]
-                offers += [ExtElement(u, t) for t in tail for u in units]
-            budget.spend(len(offers))
-            grown += [(x,) + d for x in offers]
+                budget.spend(len(tail) * len(units))  # before they are built
+                offers = list(s.core) + [ExtElement(u, t) for t in tail for u in units]
+            budget.spend(len(s.core))
+            grown += [(x, d) for x in offers]
         partial = grown
     found = sorted(
-        (d for d in partial if B.is_null((f.coeff(0), B.mul(a, d[0])))),
+        (_unlink(d) for d in partial if B.is_null((f.coeff(0), B.mul(a, d[0])))),
         key=lambda d: tuple(map(B.sort_key, d)),
     )
     return [Polynomial(B, d) for d in found]
+
+
+def _unlink(cell) -> list:
+    """The entries of a linked cell (x, rest), outermost first."""
+    out = []
+    while cell:
+        x, cell = cell
+        out.append(x)
+    return out
 
 
 def _tail_pool(f: Polynomial, a) -> tuple:
@@ -176,11 +187,9 @@ def _tail_pool(f: Polynomial, a) -> tuple:
             "tail branching needs a finite unit group; "
             f"{B.base.name} has infinitely many units"
         )
-    units = [u for u in B.base.elements if not B.base.is_zero(u)]
-    gamma = a.level
-    shifted = sorted(set(shifted_levels(f, gamma).values()))
+    shifted = sorted(set(shifted_levels(f, a.level).values()))
     mids = [oag_div(oag_add(x, y), 2) for x, y in zip(shifted, shifted[1:])]
-    return sorted(shifted + mids), gamma, units
+    return sorted(shifted + mids), a.level, B.base.elements[1:]
 
 
 def multiplicity(f: Polynomial, a, cap: int = None) -> tuple:
@@ -444,14 +453,9 @@ def lift_factorization(f: Polynomial, a: ExtElement, g: Polynomial) -> Polynomia
 # root candidates and the degree bound
 
 
-def _divisors(m: int) -> list:
+def _divisors(m: int) -> set:
     m = abs(m)
-    out = []
-    for d in range(1, math.isqrt(m) + 1):
-        if m % d == 0:
-            out.append(d)
-            out.append(m // d)
-    return sorted(set(out))
+    return {e for d in range(1, math.isqrt(m) + 1) if m % d == 0 for e in (d, m // d)}
 
 
 def _rational_candidates(f: Polynomial, budget: _Budget) -> list:
@@ -477,29 +481,28 @@ def root_candidates(f: Polynomial, cap: int = None):
     Finite idylls offer their carrier itself, uncopied (GF(p) a lazy range,
     so a search budget can end a query over a huge field). Extensions take
     every level at which the minimum of v(c_i) + i*level is attained twice,
-    paired with every base unit. The rational field uses the classical
-    integer root sieve on cleared denominators, which spends cap (or
-    IDYLL_SEARCH_CAP): one state per trial division and per candidate pair.
+    paired with every base unit, `elements[1:]`, and never listed past cap
+    (or IDYLL_SEARCH_CAP), since each candidate's count spends a state. The
+    rational field's integer root sieve on cleared denominators spends cap:
+    one state per trial division and per candidate pair.
     """
     B = f.idyll
     if f.is_zero:
         raise StructuralError("every element is a root of the zero polynomial")
+    budget = _budget(cap)
     if isinstance(B, ExtensionDescriptor):
         if B.base.elements is None:
             raise UnsupportedOperationError(
                 f"cannot enumerate units of {B.base.name}"
             )
-        units = [u for u in B.base.elements if not B.base.is_zero(u)]
-        cands = [
-            ExtElement(u, g)
-            for g in root_levels(f)
-            for u in units
-        ]
-        if 0 not in f.support:
-            cands.append(EXT_ZERO)
-        return cands
+        levels, units = root_levels(f), B.base.elements[1:]
+        if len(levels) * len(units) > budget.remaining:
+            # each candidate's count will spend a state: raise before listing
+            budget.spend(len(levels) * len(units))
+        cands = [ExtElement(u, g) for g in levels for u in units]
+        return cands if 0 in f.support else cands + [EXT_ZERO]
     if isinstance(B, RationalFieldIdyll):
-        return _rational_candidates(f, _budget(cap))
+        return _rational_candidates(f, budget)
     if B.elements is not None:
         return B.elements
     raise UnsupportedOperationError(f"cannot enumerate candidates over {B.name}")
@@ -510,40 +513,39 @@ def root_multiplicities(f: Polynomial, cap: int = None) -> list:
 
     Over a split extension of a whole base the roots of level g (from
     `root_levels`) are (u, g) for u a nonzero root of the initial form at g,
-    with its multiplicity over the base (the lifting theorem); the units
-    come from the base's `root_candidates` of that form, and the zero point
-    comes last. Elsewhere the points are `root_candidates`, in its order. m
-    is the rule chain's count over Krasner, signs and, under an extension,
-    Q and GF(p); else the search's (over a field, already synthetic
-    division). cap (or IDYLL_SEARCH_CAP) bounds the whole query: each sieve,
-    then per point its chain search, or one state and one per rule step.
+    with its multiplicity over the base (the lifting theorem); the units come
+    from the base's `root_candidates` of that form, and the zero point comes
+    last. Elsewhere the points are `root_candidates`, in its order. `_count`
+    counts each point; cap (or IDYLL_SEARCH_CAP) bounds the whole query.
     """
     B = f.idyll
     if f.is_zero:
         raise StructuralError("every element is a root of the zero polynomial")
     budget = _budget(cap)
     if not (isinstance(B, ExtensionDescriptor) and B.is_split and B.base.is_whole):
-        by_rule = isinstance(B, (KrasnerIdyll, SignIdyll))
         cands = root_candidates(f, budget)
-        return [(a, m) for a in cands if (m := _count(f, a, budget, by_rule))]
-    # bases with a rule; over Q and GF(p) it is synthetic division, one state
-    # a step, where the search spends one per quotient coefficient
-    ruled = (KrasnerIdyll, SignIdyll, RationalFieldIdyll, FiniteFieldIdyll)
-    by_rule = isinstance(B.base, ruled)
+        return [(a, m) for a in cands if (m := _count(f, a, budget))]
     found = []
     for g in root_levels(f):
         P, _ = initial_form_split(f, g)
         for u in root_candidates(P, budget):
-            if not B.base.is_zero(u) and (m := _count(P, u, budget, by_rule)):
+            if not B.base.is_zero(u) and (m := _count(P, u, budget)):
                 found.append((ExtElement(u, g), m))
-    if 0 not in f.support and (m := _count(f, EXT_ZERO, budget, by_rule)):
+    if 0 not in f.support and (m := _count(f, EXT_ZERO, budget)):
         found.append((EXT_ZERO, m))
     return found
 
 
-def _count(f: Polynomial, a, budget: _Budget, by_rule: bool) -> int:
-    """The multiplicity of f at a by the rule chain, or else by the search."""
-    return mult_closed_form(f, a, budget) if by_rule else multiplicity(f, a, budget)[0]
+_RULED = (KrasnerIdyll, SignIdyll, FiniteFieldIdyll)  # counted by the rule chain
+
+
+def _count(f: Polynomial, a, budget: _Budget) -> int:
+    """The multiplicity of f at a, by the engine f's idyll alone picks: the
+    rule chain over `_RULED`, where the paper's rules make it exact, and the
+    search elsewhere (over Q its one division is synthetic division)."""
+    if isinstance(f.idyll, _RULED):
+        return mult_closed_form(f, a, budget)
+    return multiplicity(f, a, budget)[0]
 
 
 def degree_bound_check(f: Polynomial, cap: int = None) -> tuple:

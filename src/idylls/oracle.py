@@ -79,7 +79,7 @@ def _pools(f: Polynomial, a) -> list:
     B = f.idyll
     if not isinstance(B, ExtensionDescriptor):
         return [_carrier(B)] * f.degree
-    units = [u for u in _carrier(B.base) if not B.base.is_zero(u)]
+    units = _carrier(B.base)[1:]
     gamma = a.level or oag_zero(B.rank)  # the zero point shifts nothing
     grid = quotient_level_grid(
         sorted({oag_add(f.coeffs[i].level, oag_scale(gamma, i)) for i in f.support})

@@ -3,6 +3,7 @@
 import gc
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -580,6 +581,43 @@ def test_the_zero_point_spends_the_query_budget():
     assert degree_bound_check(g, cap=12) == (3, 3, True)
 
 
+def test_root_counts_spend_the_budget_of_their_idylls_engine():
+    # over GF(7) each of the seven residues spends one state up front and
+    # one per step of its rule chain: 7, plus 2 at the double root 1 and 1
+    # at the root -2
+    F7 = finite_field(7)
+    f = parse_poly("2 + 4*x + x^3", F7)  # (x - 1)^2 * (x + 2)
+    with pytest.raises(SearchCapExceeded):
+        root_multiplicities(f, cap=9)
+    assert root_multiplicities(f, cap=10) == [(1, 2), (5, 1)]
+    # over ext:field:Q:1 the initial form x + 2x^2 + x^3 at level -1 is
+    # counted by the search over Q: its sieve spends 3 states, the search
+    # 3 + 2 + 1 at -1 and 3 at 1, and the zero point's rule chain 2
+    E = parse_idyll_name("ext:field:Q:1")
+    g = parse_poly("1^1*x + 2^2*x^2 + 1^3*x^3", E)  # x * (1 + 1^1*x)^2
+    with pytest.raises(SearchCapExceeded):
+        root_multiplicities(g, cap=13)
+    assert root_multiplicities(g, cap=14) == [(E.elem(-1, -1), 2), (EXT_ZERO, 1)]
+
+
+def test_nothing_grows_with_a_huge_base_past_the_budget():
+    # over a split extension of GF(100003) the candidates and the tail
+    # offers are each 100,002 units wide; the budget ends both queries
+    # before either list is built
+    E = parse_idyll_name("ext:field:GF(100003):1")
+    f = parse_poly("1 + x", E)
+    g = parse_poly("1^5 - 1^0*x + 1^0*x^2", E)
+    for query in (lambda: degree_bound_check(f), lambda: multiplicity(g, E.one)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SearchCapExceeded):
+                query()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+
 def test_sign_rule_step_reads_linearly():
     # one sign quotient reads each coefficient and support entry a bounded
     # number of times, so doubling the degree at most doubles the reads
@@ -703,6 +741,20 @@ def test_rational_sieve_spends_the_budget_before_scanning(monkeypatch):
     with pytest.raises(SearchCapExceeded):
         root_multiplicities(f, cap=1000)
     assert scanned == []
+
+
+def test_int_rationals_answer_as_their_fraction_twins():
+    # field:Q takes int and Fraction alike, checked once on the way in
+    twin = parse_poly("2 - 3*x + x^3", Q)  # (x - 1)^2 * (x + 2)
+    f = Polynomial(Q, [2, -3, 0, 1])
+    assert f == twin and all(type(c) is int for c in f.coeffs)
+    assert root_multiplicities(f) == root_multiplicities(twin) == [(-2, 1), (1, 2)]
+    for a in (1, Fraction(1), Fraction(-2)):
+        assert multiplicity(f, a) == multiplicity(twin, a)
+        assert rule_multiplicity(f, a) == rule_multiplicity(twin, a)
+    assert Q.inv(3) == Fraction(1, 3) and type(Q.inv(3)) is Fraction
+    with pytest.raises(ForeignElementError):
+        Polynomial(Q, [2, -3.0, 0, 1])
 
 
 def test_finite_carrier_candidates_are_everything():
