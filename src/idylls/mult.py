@@ -5,17 +5,18 @@ divisions f -> g1 -> g2 -> ..., each step witnessed by `factor_check`. The
 search engine lists quotients degree by degree: all of them over a finite
 idyll or a field, over a tropical extension a finite subset enough for the
 chain length. Where chains are understood, `rule_multiplicity` builds one
-by rule and `division_rule` is its first step: the point moves to one once
-per query (`normalise`), each step applies the base's rule there, and each
-quotient moves back once (`denormalise_quotient`). Over a split extension
-the rule is the base's on the initial form, lifted by the lift body that
-`lift_factorization` runs. Every engine spends one query budget.
-`root_multiplicities` over a split extension of a whole base lifts nothing:
-it counts each level's initial form over the base.
+by rule and `division_rule` is its first step. A base's rule divides at the
+point itself: Krasner's, the sign rule on the twisted signs, synthetic
+division over Q and GF(p), and f shifted down at the zero point. Over a
+split extension the rule is the base's on the initial form, lifted by the
+lift body that `lift_factorization` runs. Every engine spends one query
+budget. `root_multiplicities` over a split extension of a whole base lifts
+nothing: it counts each level's initial form over the base.
 
-This module alone knows that frame: F = f(a*x)/r, with r = (1, lowest
-shifted level of f at a) over an extension and one elsewhere. Each move,
-there or back, is one `monomial_substitute` pass.
+Only the lift needs the unit frame F = f(a*x)/r, r = (1, lowest shifted
+level of f at a), and this module alone knows it: an extension's chain
+moves there once (`normalise`) and maps each quotient back
+(`denormalise_quotient`), each move one `monomial_substitute` pass.
 """
 
 from __future__ import annotations
@@ -239,10 +240,10 @@ def _longest_chain(poly: Polynomial, quotients_of, memo: dict) -> tuple:
 def division_rule(f: Polynomial, a) -> Polynomial:
     """One quotient of f at the root a, built by rule instead of searched.
 
-    At the zero point, f shifted down one degree; elsewhere the first step
-    of `rule_multiplicity`'s chain. Raises StructuralError where a is not a
-    root, and UnsupportedOperationError over a twisted extension or a base
-    with no rule (quotient hyperfields, f1pm, phase) before it tests the root.
+    The first step of `rule_multiplicity`'s chain, the zero point included.
+    Raises StructuralError where a is not a root, and UnsupportedOperationError
+    over a twisted extension or a base with no rule (quotient hyperfields,
+    f1pm, phase) before it tests the root.
     """
     g = next(_rule_quotients(f, a, _Budget(2)), None)  # one step and its root test
     if g is None:
@@ -253,10 +254,10 @@ def division_rule(f: Polynomial, a) -> Polynomial:
 def rule_multiplicity(f: Polynomial, a, cap: int = None) -> tuple:
     """Longest division chain at a, by rule: (count, chain).
 
-    Applies `_quotient_at_one` while a is still a root, one root test per
-    step. Each rule lowers the multiplicity by exactly one: over signs the
-    count is Descartes's, over a split extension that of the initial form at
-    a over the base (the lifting theorem). cap (or IDYLL_SEARCH_CAP) bounds
+    Divides by the rule while a is still a root, one root test per step.
+    Each rule lowers the multiplicity by exactly one: over signs the count
+    is Descartes's, over a split extension that of the initial form at a
+    over the base (the lifting theorem). cap (or IDYLL_SEARCH_CAP) bounds
     the chain: it spends one state up front and one per step, so a chain of
     length m needs a cap of m + 1.
     """
@@ -267,23 +268,16 @@ def rule_multiplicity(f: Polynomial, a, cap: int = None) -> tuple:
 
 
 def mult_closed_form(f: Polynomial, a, cap: int = None) -> int:
-    """The count of `rule_multiplicity`, spending cap alike; its steps stay
-    in the unit frame."""
-    if f.is_zero:
-        raise StructuralError("the zero polynomial has no multiplicity")
-    return sum(1 for _ in _rule_steps(f, a, _budget(cap)))
+    """The count of `rule_multiplicity`, spending cap alike."""
+    return rule_multiplicity(f, a, cap)[0]
 
 
-def normalise(f: Polynomial, a) -> tuple:
-    """(F, r) with F = f(a*x)/r: a division of f at a unit a moved to one.
-
-    Over an extension r is (1, lowest shifted level of f at a's level), so
-    F's lowest level is 0 and its level-0 units are the initial form of f at
-    a, twisted by powers of the unit of a; elsewhere r is one. f is nonzero.
-    """
+def normalise(f: Polynomial, a: ExtElement) -> tuple:
+    """(F, r) with F = f(a*x)/r: a division of f over an extension at a unit
+    a, moved to one for the lift. r is (1, lowest shifted level of f at a's
+    level), so F's lowest level is 0 and its level-0 units are the initial
+    form of f at a, twisted by powers of the unit of a. f is nonzero."""
     B = f.idyll
-    if not isinstance(B, ExtensionDescriptor):
-        return monomial_substitute(f, a), B.one
     r = ExtElement(B.base.one, min(shifted_levels(f, a.level).values()))
     return monomial_substitute(f, a, B.inv(r)), r
 
@@ -298,85 +292,88 @@ def denormalise_quotient(G: Polynomial, a, r) -> Polynomial:
 
 
 def _rule_quotients(f: Polynomial, a, budget: _Budget):
-    """The rule chain's quotients f -> q1 -> q2 -> ... at a, lazily."""
-    for G, r in _rule_steps(f, a, budget):
-        yield G if r is None else denormalise_quotient(G, a, r)
+    """The rule chain's quotients f -> q1 -> q2 -> ... at a, lazily.
 
-
-def _rule_steps(f: Polynomial, a, budget: _Budget):
-    """The rule chain at a in the unit frame, lazily: (G, r) per step.
-
-    Each step divides F = q(a*x)/r at one; its quotient G maps back to the
-    next q = r*G(x/a)/a, whose frame is then G/u with r*u/a, for u the unit
-    of a (a itself outside an extension): no substitution after the first.
-    At the zero point G is q itself and r is None. Spends one state of
-    budget up front, for the last root test, and one per step.
+    Spends one state of budget up front, for the last root test, and one
+    per step. Over a base, and at the zero point, each step is
+    `_quotient_at` the point itself. Over an extension the chain moves to
+    one once: F = q(a*x)/r, its quotient G at one maps back to the next
+    q = r*G(x/a)/a, whose frame is then G/u with r*u/a, for u the unit of
+    a: no substitution after the first.
     """
     B = f.idyll
     B.require(a)
     budget.spend()
-    if f.is_zero or B.is_zero(a):
-        # at the zero point, f shifted down; the zero polynomial divides itself
-        while B.is_zero(f.coeff(0)):
-            f = f.shift_down(1)
+    if isinstance(B, ExtensionDescriptor) and not (f.is_zero or B.is_zero(a)):
+        F, r = normalise(f, a)
+        u = ExtElement(a.unit, B.one.level)
+        u_inv, step = B.inv(u), B.mul(u, B.inv(a))
+        while (G := _quotient_at(F, B.one)) is not None:
             budget.spend()
-            yield f, None
+            yield denormalise_quotient(G, a, r)
+            F, r = G if u == B.one else G.scale(u_inv), B.mul(r, step)
         return
-    F, r = normalise(f, a)
-    u = ExtElement(a.unit, B.one.level) if isinstance(B, ExtensionDescriptor) else a
-    u_inv, step = B.inv(u), B.mul(u, B.inv(a))
-    while (G := _quotient_at_one(F)) is not None:
+    while (f := _quotient_at(f, a)) is not None:
         budget.spend()
-        yield G, r
-        F, r = G if u == B.one else G.scale(u_inv), B.mul(r, step)
+        yield f
 
 
-def _quotient_at_one(F: Polynomial):
-    """The rule's quotient of F at one, or None where one is not a root.
+def _quotient_at(f: Polynomial, a):
+    """The rule's quotient of f at a, or None where a is not a root.
 
-    Over Krasner, ones across the support span; over signs, `_sign_quotient`;
-    over Q and GF(p), synthetic division; over a split extension of a whole
-    base, the base rule on the level-0 units, lifted by `_lift_at_one`.
+    At the zero point of any idyll, f shifted down one degree (the zero
+    polynomial divides itself). Over Krasner, ones across the support
+    span; over signs, `_sign_quotient`; over Q and GF(p), synthetic
+    division at a. Over a split extension of a whole base, f is in the unit
+    frame and a is one: the base rule at one on the level-0 units, lifted
+    by `_lift_at_one`.
     """
-    B = F.idyll
+    B = f.idyll
+    if f.is_zero or B.is_zero(a):
+        return f.shift_down(1) if B.is_zero(f.coeff(0)) else None
     if isinstance(B, KrasnerIdyll):
-        lo, hi = F.support[0], F.support[-1]
+        lo, hi = f.support[0], f.support[-1]
         return Polynomial(B, [0] * lo + [1] * (hi - lo)) if hi > lo else None
     if isinstance(B, SignIdyll):
-        return _sign_quotient(F)
+        return _sign_quotient(f, a)
     if isinstance(B, (RationalFieldIdyll, FiniteFieldIdyll)):
         # synthetic division, top coefficient first; the last value is the remainder
         acc, quot = B.zero, []
-        for c in reversed(F.coeffs):
-            (acc,) = B.sum_set(c, acc)
+        for c in reversed(f.coeffs):
+            (acc,) = B.sum_set(c, B.mul(a, acc))
             quot.append(acc)
         return Polynomial(B, quot[-2::-1]) if B.is_zero(quot[-1]) else None
     if isinstance(B, ExtensionDescriptor):
         if not B.is_split:
             raise UnsupportedOperationError("division rules need a split extension")
-        # F's level-0 units, its initial form at one
-        g = _quotient_at_one(Polynomial(B.base, map(B.ev0, F.coeffs)))
-        return None if g is None else _lift_at_one(F, g)
+        # f's level-0 units, its initial form at one
+        g = _quotient_at(Polynomial(B.base, map(B.ev0, f.coeffs)), B.base.one)
+        return None if g is None else _lift_at_one(f, g)
     raise UnsupportedOperationError(f"no division rule for {B.name}")
 
 
-def _sign_quotient(f: Polynomial):
-    """The sign rule's quotient at +1, or None with no sign change.
+def _sign_quotient(f: Polynomial, a):
+    """The sign rule's quotient at a = +1 or -1, or None with no sign change.
 
-    Below the first sign change the quotient carries the opposite of the
-    leading run's sign; from there on, position i copies the sign of the
-    next supported coefficient above i, carried down in one sweep.
+    It reads the twisted signs c_i*a^i, those of f(a*x), and writes
+    g_i*a^(i+1), so it divides at a directly. Below the first sign change
+    the quotient carries the opposite of the leading run's sign; from there
+    on, position i copies the sign of the next supported coefficient above
+    i, carried down in one sweep.
     """
+    c = list(f.coeffs)
+    c[1::2] = [a * s for s in c[1::2]]
     support = f.support
-    s0 = f.coeffs[support[0]]
-    change = next((p for p in support if f.coeffs[p] != s0), None)
+    s0 = c[support[0]]
+    change = next((p for p in support if c[p] != s0), None)
     if change is None:
         return None
     g = [0] * f.degree
-    above = f.coeffs[-1]
+    above = c[-1]
     for i in range(f.degree - 1, support[0] - 1, -1):
         g[i] = -s0 if i < change else above
-        above = f.coeffs[i] or above
+        above = c[i] or above
+    g[::2] = [a * s for s in g[::2]]
     return Polynomial(f.idyll, g)
 
 
@@ -544,7 +541,7 @@ def _count(f: Polynomial, a, budget: _Budget) -> int:
     rule chain over `_RULED`, where the paper's rules make it exact, and the
     search elsewhere (over Q its one division is synthetic division)."""
     if isinstance(f.idyll, _RULED):
-        return mult_closed_form(f, a, budget)
+        return sum(1 for _ in _rule_quotients(f, a, budget))
     return multiplicity(f, a, budget)[0]
 
 

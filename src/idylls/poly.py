@@ -6,7 +6,7 @@ between polynomials but a degreewise membership test: every coefficient of f
 must be reachable from the corresponding coefficients of (x - a) * g. That
 test is `factor_check`, one null test per degree on its three terms.
 `monomial_substitute` builds scale*f(c*x) in one pass; the unit-point frame
-that the rule chain divides in is built from it in `idylls.mult`.
+that the lift over an extension divides in is built from it in `idylls.mult`.
 
 The text grammar (`parse_idyll_name`, `parse_poly`) reads what `str` writes.
 The maps at the end carry a polynomial over the rationals into the sign

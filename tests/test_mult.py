@@ -642,7 +642,7 @@ def test_sign_rule_step_reads_linearly():
         f = CountedPolynomial(S, [(-1) ** i for i in range(n + 1)])
         object.__setattr__(f, "coeffs", Counted(f.coeffs))
         Counted.reads = 0
-        assert mult._sign_quotient(f).degree == n - 1
+        assert mult._sign_quotient(f, 1).degree == n - 1
         return Counted.reads
 
     assert reads(400) <= 2 * reads(200) + 8
@@ -682,6 +682,8 @@ def test_rule_chain_moves_to_the_unit_point_once(monkeypatch):
     # to the unit point or back, builds one polynomial
     f = parse_poly("1 + x + x^2 + x^3", TR)  # f(-x) changes sign three times
     h, w = parse_poly("1 - x + 1^1*x^2", TR), parse_poly("-1", TR.base)
+    fs = parse_poly("1 + x + x^2 + x^3", S)
+    f7 = parse_poly("2 + 4*x + x^3", finite_field(7))
     calls = {"normalise": 0, "initial_form_at": 0, "Polynomial": 0}
 
     def count(owner, name, key):
@@ -706,6 +708,16 @@ def test_rule_chain_moves_to_the_unit_point_once(monkeypatch):
     # back, and the check of the lift's initial form
     assert calls == {"normalise": 1, "initial_form_at": 1, "Polynomial": 6}
     assert str(gt) == "-1^0 + 1^1*x"
+    # a base divides at the point itself, with no frame: each quotient is
+    # the one polynomial a step builds, and a point that is no root builds none
+    calls.update(dict.fromkeys(calls, 0))
+    m, chain = rule_multiplicity(fs, -1)
+    assert calls == {"normalise": 0, "initial_form_at": 0, "Polynomial": 3}
+    assert m == 3 and chain.verify()
+    calls.update(dict.fromkeys(calls, 0))
+    roots = root_multiplicities(f7)
+    assert calls == {"normalise": 0, "initial_form_at": 0, "Polynomial": 3}
+    assert roots == [(1, 2), (5, 1)]
 
 
 # -- root candidates ------------------------------------------------------------
