@@ -5,18 +5,15 @@ divisions f -> g1 -> g2 -> ..., each step witnessed by `factor_check`. The
 search engine lists quotients degree by degree: all of them over a finite
 idyll or a field, over a tropical extension a finite subset enough for the
 chain length. Where chains are understood, `rule_multiplicity` builds one
-by rule and `division_rule` is its first step. A base's rule divides at the
-point itself: Krasner's, the sign rule on the twisted signs, synthetic
-division over Q and GF(p), and f shifted down at the zero point. Over a
-split extension the rule is the base's on the initial form, lifted by the
-lift body that `lift_factorization` runs. Every engine spends one query
-budget. `root_multiplicities` over a split extension of a whole base lifts
+by rule and `division_rule` is its first step. Every rule divides at the
+point itself. A base has its own: Krasner's, the sign rule on the twisted
+signs, synthetic division over Q and GF(p), and f shifted down at the zero
+point. Over a split extension the chain at a = (u, gamma) is the lifting
+theorem read as it stands: the base's chain on the initial form of f at a,
+run at u, each base quotient lifted to a quotient of f at a by the body
+that `lift_factorization` runs. Every engine spends one query budget.
+`root_multiplicities` over a split extension of a whole base lifts
 nothing: it counts each level's initial form over the base.
-
-Only the lift needs the unit frame F = f(a*x)/r, r = (1, lowest shifted
-level of f at a), and this module alone knows it: an extension's chain
-moves there once (`normalise`) and maps each quotient back
-(`denormalise_quotient`), each move one `monomial_substitute` pass.
 """
 
 from __future__ import annotations
@@ -25,6 +22,7 @@ import math
 import os
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 
 from .algebra import (
     FiniteFieldIdyll,
@@ -38,7 +36,7 @@ from .algebra import (
 from .extension import EXT_ZERO, ExtElement, ExtensionDescriptor
 from .newton import initial_form_at, initial_form_split, root_levels, shifted_levels
 from .oag import oag_add, oag_div, oag_scale, oag_sub
-from .poly import Polynomial, eval_sum, factor_check, monomial_substitute
+from .poly import Polynomial, eval_sum, factor_check
 
 DEFAULT_SEARCH_CAP = 100_000
 
@@ -272,47 +270,28 @@ def mult_closed_form(f: Polynomial, a, cap: int = None) -> int:
     return rule_multiplicity(f, a, cap)[0]
 
 
-def normalise(f: Polynomial, a: ExtElement) -> tuple:
-    """(F, r) with F = f(a*x)/r: a division of f over an extension at a unit
-    a, moved to one for the lift. r is (1, lowest shifted level of f at a's
-    level), so F's lowest level is 0 and its level-0 units are the initial
-    form of f at a, twisted by powers of the unit of a. f is nonzero."""
-    B = f.idyll
-    r = ExtElement(B.base.one, min(shifted_levels(f, a.level).values()))
-    return monomial_substitute(f, a, B.inv(r)), r
-
-
-def denormalise_quotient(G: Polynomial, a, r) -> Polynomial:
-    """The inverse of `normalise` for quotients: for G a quotient at one of F,
-    where (F, r) = normalise(f, a), r*G(x/a)/a is a quotient of f at a,
-    since f = r*F(x/a) = (x - a)*(r/a)*G(x/a)."""
-    B = G.idyll
-    a_inv = B.inv(a)
-    return monomial_substitute(G, a_inv, B.mul(r, a_inv))
-
-
 def _rule_quotients(f: Polynomial, a, budget: _Budget):
     """The rule chain's quotients f -> q1 -> q2 -> ... at a, lazily.
 
     Spends one state of budget up front, for the last root test, and one
     per step. Over a base, and at the zero point, each step is
-    `_quotient_at` the point itself. Over an extension the chain moves to
-    one once: F = q(a*x)/r, its quotient G at one maps back to the next
-    q = r*G(x/a)/a, whose frame is then G/u with r*u/a, for u the unit of
-    a: no substitution after the first.
+    `_quotient_at` the point itself. Over a split extension the chain is the
+    base's own chain on the initial form P of f at a = (u, gamma), run at u,
+    each base quotient lifted by `_lift`; the k-th quotient's initial form
+    is the k-th base quotient, on a line lower by k*gamma.
     """
     B = f.idyll
     B.require(a)
-    budget.spend()
     if isinstance(B, ExtensionDescriptor) and not (f.is_zero or B.is_zero(a)):
-        F, r = normalise(f, a)
-        u = ExtElement(a.unit, B.one.level)
-        u_inv, step = B.inv(u), B.mul(u, B.inv(a))
-        while (G := _quotient_at(F, B.one)) is not None:
-            budget.spend()
-            yield denormalise_quotient(G, a, r)
-            F, r = G if u == B.one else G.scale(u_inv), B.mul(r, step)
+        if not B.is_split:
+            raise UnsupportedOperationError("division rules need a split extension")
+        P, low = initial_form_at(f, a)
+        for g in _rule_quotients(P, a.unit, budget):
+            f = _lift(f, a, g, low)
+            low = oag_sub(low, a.level)
+            yield f
         return
+    budget.spend()
     while (f := _quotient_at(f, a)) is not None:
         budget.spend()
         yield f
@@ -324,9 +303,7 @@ def _quotient_at(f: Polynomial, a):
     At the zero point of any idyll, f shifted down one degree (the zero
     polynomial divides itself). Over Krasner, ones across the support
     span; over signs, `_sign_quotient`; over Q and GF(p), synthetic
-    division at a. Over a split extension of a whole base, f is in the unit
-    frame and a is one: the base rule at one on the level-0 units, lifted
-    by `_lift_at_one`.
+    division at a.
     """
     B = f.idyll
     if f.is_zero or B.is_zero(a):
@@ -343,12 +320,6 @@ def _quotient_at(f: Polynomial, a):
             (acc,) = B.sum_set(c, B.mul(a, acc))
             quot.append(acc)
         return Polynomial(B, quot[-2::-1]) if B.is_zero(quot[-1]) else None
-    if isinstance(B, ExtensionDescriptor):
-        if not B.is_split:
-            raise UnsupportedOperationError("division rules need a split extension")
-        # f's level-0 units, its initial form at one
-        g = _quotient_at(Polynomial(B.base, map(B.ev0, f.coeffs)), B.base.one)
-        return None if g is None else _lift_at_one(f, g)
     raise UnsupportedOperationError(f"no division rule for {B.name}")
 
 
@@ -381,32 +352,44 @@ def _sign_quotient(f: Polynomial, a):
 # lifting
 
 
-def _lift_at_one(F: Polynomial, g: Polynomial) -> Polynomial:
-    """A quotient of F at one whose level-0 units are exactly g.
+def _lift(f: Polynomial, a: ExtElement, g: Polynomial, low: tuple) -> Polynomial:
+    """A quotient of f at a = (u, gamma) whose initial form at a is g.
 
-    F comes from `normalise` over a split extension of a whole base, and g
-    is a quotient at one of its level-0 units, so g starts where they do (no
-    nonzero singleton is null). The quotient is assembled in three zones: a
-    left run below g, solved upward from the constant term; g at level 0;
+    f lives over a split extension of a whole base, low is the least of its
+    shifted levels v(c_i) + i*gamma, and g is a quotient at u of its initial
+    form, so g starts where that form does (no nonzero singleton is null).
+    The quotient is assembled in three zones: a left run below g, solved
+    upward from the constant term; g's units on the line low - (i+1)*gamma;
     and the gaps between g's terms and the right run above them, each solved
-    downward from a zero at its top. All synthesized entries sit at strictly
-    positive levels, so they never disturb the minimal layer.
+    downward from a zero at its top. Synthesized entries sit strictly above
+    the line, so they never disturb the initial form. Of several entries
+    that a sum set offers at index i, the least is taken with its unit times
+    u^(i+1), which is E's order where f(a*x) divides at one.
     """
-    E = F.idyll
+    E, B = f.idyll, f.idyll.base
     i0 = g.support[0]
-    d = [EXT_ZERO] * (F.degree + 1)
-    # left run; each choice keeps factor_check at its index: F_i - d_(i-1) +
-    # d_i is null, so d_i is minus a sum of F_i and -d_(i-1)
+    twist = list(accumulate([a.unit] * f.degree, B.mul))  # u^(i+1) at index i
+
+    def least(entries, i):
+        return min(entries, key=lambda x: E.sort_key(
+            x if x.is_zero else ExtElement(B.mul(x.unit, twist[i]), x.level)))
+
+    d = [EXT_ZERO] * (f.degree + 1)
+    # left run; each choice keeps factor_check at its index: f_i - d_(i-1) +
+    # a*d_i is null, so a*d_i is minus a sum of f_i and -d_(i-1)
+    down = E.mul(E.epsilon, E.inv(a))
     for i in range(i0):
-        s = E.sum_set(F.coeff(i), E.mul(E.epsilon, d[i - 1] if i else EXT_ZERO))
-        d[i] = min((E.mul(E.epsilon, c) for c in s.core), key=E.sort_key)
-    # from the top down: g at level 0, and each gap's top (d_n among them)
+        s = E.sum_set(f.coeff(i), E.mul(E.epsilon, d[i - 1] if i else EXT_ZERO))
+        d[i] = least([E.mul(down, c) for c in s.core], i)
+    # from the top down: g on the line, and each gap's top (d_n among them)
     # left at zero, so only the entries below a gap's top are solved
-    for i in range(F.degree - 1, i0 - 1, -1):
-        if not E.base.is_zero(g.coeff(i)):
-            d[i] = ExtElement(g.coeffs[i], E.one.level)
-        elif E.base.is_zero(g.coeff(i + 1)):
-            d[i] = min(E.sum_set(F.coeff(i + 1), d[i + 1]).core, key=E.sort_key)
+    line = oag_sub(low, oag_scale(a.level, f.degree))
+    for i in range(f.degree - 1, i0 - 1, -1):
+        if not B.is_zero(g.coeff(i)):
+            d[i] = ExtElement(g.coeffs[i], line)
+        elif B.is_zero(g.coeff(i + 1)):
+            d[i] = least(E.sum_set(f.coeff(i + 1), E.mul(a, d[i + 1])).core, i)
+        line = oag_add(line, a.level)
     return Polynomial(E, d)
 
 
@@ -416,8 +399,7 @@ def lift_factorization(f: Polynomial, a: ExtElement, g: Polynomial) -> Polynomia
     Given factor_check(P, u, g) over the base, where (P, g0) is the initial
     form of f at a = (u, g1), produce gt over the extension with
     factor_check(f, a, gt) and initial form exactly (g, g0 - g1) at a. Works
-    for split extensions over whole bases. It runs the rule chain's lift,
-    `_lift_at_one`, on f and g moved to one.
+    for split extensions over whole bases, by the rule chain's own `_lift`.
     """
     E = f.idyll
     if not isinstance(E, ExtensionDescriptor):
@@ -433,15 +415,14 @@ def lift_factorization(f: Polynomial, a: ExtElement, g: Polynomial) -> Polynomia
         raise StructuralError("lifting needs a polynomial of positive degree")
     if g.idyll != E.base:
         raise StructuralError("the witness must live over the base idyll")
-    F, r = normalise(f, a)
-    gu = monomial_substitute(g, a.unit, a.unit)
-    if not factor_check(Polynomial(E.base, map(E.ev0, F.coeffs)), E.base.one, gu):
+    P, low = initial_form_at(f, a)
+    if not factor_check(P, a.unit, g):
         raise StructuralError("the witness does not divide the initial form")
-    gt = denormalise_quotient(_lift_at_one(F, gu), a, r)
+    gt = _lift(f, a, g, low)
     if not factor_check(f, a, gt):
         raise StructuralError("lift failed its own factorization check")
     Q, q0 = initial_form_at(gt, a)
-    if Q != g or q0 != oag_sub(r.level, a.level):
+    if Q != g or q0 != oag_sub(low, a.level):
         raise StructuralError("lift failed to match the prescribed initial form")
     return gt
 

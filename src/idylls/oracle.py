@@ -68,8 +68,9 @@ def _carrier(B):
     return B.elements
 
 
-def _pools(f: Polynomial, a) -> list:
-    """The choices for each quotient coefficient d_0, ..., d_(n-1) of f at a.
+def _pools(f: Polynomial, a) -> tuple:
+    """(size, pool): pool(j) lists the choices for the quotient coefficient
+    d_j of f at a, and size is their number, the same for every j.
 
     A finite idyll offers its carrier. An extension offers zero and every
     unit at level t - (j+1)*gamma for d_j, gamma the level of a (0 at the
@@ -78,18 +79,18 @@ def _pools(f: Polynomial, a) -> list:
     """
     B = f.idyll
     if not isinstance(B, ExtensionDescriptor):
-        return [_carrier(B)] * f.degree
+        carrier = _carrier(B)
+        return len(carrier), lambda j: carrier
     units = _carrier(B.base)[1:]
     gamma = a.level or oag_zero(B.rank)  # the zero point shifts nothing
     grid = quotient_level_grid(
         sorted({oag_add(f.coeffs[i].level, oag_scale(gamma, i)) for i in f.support})
     )
-    pools = []
-    for j in range(f.degree):
+
+    def pool(j):
         shift = oag_scale(gamma, j + 1)
-        levels = [oag_sub(t, shift) for t in grid]
-        pools.append([B.zero] + [ExtElement(u, t) for t in levels for u in units])
-    return pools
+        return [B.zero] + [ExtElement(u, oag_sub(t, shift)) for t in grid for u in units]
+    return 1 + len(grid) * len(units), pool
 
 
 def _witnesses(f: Polynomial, a, budget) -> list:
@@ -97,20 +98,22 @@ def _witnesses(f: Polynomial, a, budget) -> list:
 
     Each partial quotient whose completed degrees are all null spends one
     state per offer it tests, before testing them, so the budget bounds the
-    null tests.
+    null tests; a position's pool is built only once a partial quotient
+    has paid for it.
     """
     B = f.idyll
     if f.degree < 1:
         return []
-    offers = [(B.zero,)] + _pools(f, a)  # offers[i]: the choices for d_(i-1)
+    size, pool = _pools(f, a)
     partial = [()]  # suffixes (d_i, ..., d_(n-1)); d_n is zero
     for i in range(f.degree, -1, -1):
-        c = f.coeff(i)
-        grown = []
+        c, offers, grown = f.coeff(i), None, []
         for d in partial:
-            budget.spend(len(offers[i]))
+            budget.spend(size if i else 1)
+            if offers is None:  # the choices for d_(i-1); d_(-1) is zero
+                offers = pool(i - 1) if i else (B.zero,)
             top = B.mul(a, d[0]) if d else B.zero
-            for x in offers[i]:
+            for x in offers:
                 if B.is_null((c, B.mul(B.epsilon, x), top)):
                     grown.append((x,) + d)
         partial = grown

@@ -5,8 +5,7 @@ addition is multivalued, "f has root a with quotient g" is not an equation
 between polynomials but a degreewise membership test: every coefficient of f
 must be reachable from the corresponding coefficients of (x - a) * g. That
 test is `factor_check`, one null test per degree on its three terms.
-`monomial_substitute` builds scale*f(c*x) in one pass; the unit-point frame
-that the lift over an extension divides in is built from it in `idylls.mult`.
+`monomial_substitute` builds scale*f(c*x) in one pass.
 
 The text grammar (`parse_idyll_name`, `parse_poly`) reads what `str` writes.
 The maps at the end carry a polynomial over the rationals into the sign

@@ -601,13 +601,18 @@ def test_root_counts_spend_the_budget_of_their_idylls_engine():
 
 
 def test_nothing_grows_with_a_huge_base_past_the_budget():
-    # over a split extension of GF(100003) the candidates and the tail
-    # offers are each 100,002 units wide; the budget ends both queries
-    # before either list is built
+    # over a split extension of GF(100003) the candidates, the tail offers
+    # and the oracle's pools are each 100,002 units wide; the budget ends
+    # every query before any of those lists is built
     E = parse_idyll_name("ext:field:GF(100003):1")
     f = parse_poly("1 + x", E)
     g = parse_poly("1^5 - 1^0*x + 1^0*x^2", E)
-    for query in (lambda: degree_bound_check(f), lambda: multiplicity(g, E.one)):
+    queries = (
+        lambda: degree_bound_check(f),
+        lambda: multiplicity(g, E.one),
+        lambda: oracle_multiplicity(g, E.one),
+    )
+    for query in queries:
         tracemalloc.start()
         try:
             with pytest.raises(SearchCapExceeded):
@@ -676,15 +681,15 @@ def test_queries_leave_no_cyclic_garbage():
         gc.enable()
 
 
-def test_rule_chain_moves_to_the_unit_point_once(monkeypatch):
-    # the chain normalises once and reads each step's initial form off the
-    # normalised polynomial, so no step computes one; each move of the frame,
-    # to the unit point or back, builds one polynomial
+def test_rule_chain_takes_the_initial_form_once(monkeypatch):
+    # an extension's chain takes the initial form at the point once and runs
+    # the base chain on it, each base quotient lifted at the point itself;
+    # a base divides at the point with no initial form at all
     f = parse_poly("1 + x + x^2 + x^3", TR)  # f(-x) changes sign three times
     h, w = parse_poly("1 - x + 1^1*x^2", TR), parse_poly("-1", TR.base)
     fs = parse_poly("1 + x + x^2 + x^3", S)
     f7 = parse_poly("2 + 4*x + x^3", finite_field(7))
-    calls = {"normalise": 0, "initial_form_at": 0, "Polynomial": 0}
+    calls = {"initial_form_at": 0, "Polynomial": 0}
 
     def count(owner, name, key):
         inner = getattr(owner, name)
@@ -694,30 +699,39 @@ def test_rule_chain_moves_to_the_unit_point_once(monkeypatch):
             return inner(*args)
         monkeypatch.setattr(owner, name, call)
 
-    count(mult, "normalise", "normalise")
     count(mult, "initial_form_at", "initial_form_at")
     count(Polynomial, "__init__", "Polynomial")
     m, chain = rule_multiplicity(f, TR.elem(-1, 0))
-    # one frame; per step the initial form, its sign quotient, the lift, the
-    # move back and the twist by the unit of the point; the last initial form
-    assert calls == {"normalise": 1, "initial_form_at": 0, "Polynomial": 17}
+    # the initial form, then per step its sign quotient and the lift
+    assert calls == {"initial_form_at": 1, "Polynomial": 7}
     assert m == 3 and chain.verify()
     calls.update(dict.fromkeys(calls, 0))
     gt = lift_factorization(h, TR.elem(1, 0), w)
-    # one frame, the moved witness, the initial form, the lift, the move
-    # back, and the check of the lift's initial form
-    assert calls == {"normalise": 1, "initial_form_at": 1, "Polynomial": 6}
+    # the initial form, the lift, and the check of the lift's initial form
+    assert calls == {"initial_form_at": 2, "Polynomial": 3}
     assert str(gt) == "-1^0 + 1^1*x"
-    # a base divides at the point itself, with no frame: each quotient is
-    # the one polynomial a step builds, and a point that is no root builds none
+    # each base quotient is the one polynomial a step builds, and a point
+    # that is no root builds none
     calls.update(dict.fromkeys(calls, 0))
     m, chain = rule_multiplicity(fs, -1)
-    assert calls == {"normalise": 0, "initial_form_at": 0, "Polynomial": 3}
+    assert calls == {"initial_form_at": 0, "Polynomial": 3}
     assert m == 3 and chain.verify()
     calls.update(dict.fromkeys(calls, 0))
     roots = root_multiplicities(f7)
-    assert calls == {"normalise": 0, "initial_form_at": 0, "Polynomial": 3}
+    assert calls == {"initial_form_at": 0, "Polynomial": 3}
     assert roots == [(1, 2), (5, 1)]
+
+
+def test_lift_breaks_ties_as_at_the_unit_point():
+    # where a sum set offers both signs on one level, the lift takes the
+    # least after multiplying entry i by u^(i+1), u the unit of the point,
+    # as at the unit point: E.sort_key alone would put 1^4 at x^2 in g's
+    # quotient
+    f = parse_poly("1^0 + 1^2*x + 1^0*x^2 + 1^2*x^3", TR)
+    assert str(division_rule(f, TR.parse_element("-1^-2"))) == "1^2 + 1^4*x + 1^2*x^2"
+    g = parse_poly("1^0 + 1^0*x + 1^2*x^2 + 1^1*x^3 + 1^3*x^4", TR)
+    q = division_rule(g, TR.parse_element("-1^-2"))
+    assert str(q) == "1^2 + 1^2*x + -1^4*x^2 + 1^3*x^3"
 
 
 # -- root candidates ------------------------------------------------------------
@@ -940,9 +954,9 @@ def _multiple_root_poly(rng, E, a) -> Polynomial:
     ("ext:field:Q:1", [Fraction(2), Fraction(-1), Fraction(1, 3), Fraction(-3, 2)]),
 ])
 def test_rule_chain_is_the_hand_built_lift_chain(name, units):
-    # the frame's map-back, quotient by quotient: normalising once per query
-    # must give what the initial form, the base rule at the unit of a and
-    # the public lift give at every step
+    # the base chain on the initial form, lifted quotient by quotient: taking
+    # the initial form once per query must give what the initial form, the
+    # base rule at the unit of a and the public lift give at every step
     E = parse_idyll_name(name)
     rng = random.Random(f"hand chain {name}")
     deep = 0

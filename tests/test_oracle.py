@@ -225,7 +225,9 @@ def test_oracle_pool_holds_every_engine_offer(B):
         for a in root_candidates(f)[:4] + [B.elem(1, (Fraction(1, 3),) * B.rank)]:
             if a.is_zero:
                 continue
-            pools = [set(p) for p in _pools(f, a)]
+            size, pool = _pools(f, a)
+            pools = [set(pool(j)) for j in range(f.degree)]
+            assert all(len(pool(j)) == size for j in range(f.degree))
             levels, gamma, units = _tail_pool(f, a)
             for j, pool in enumerate(pools):
                 shift = oag_scale(gamma, j + 1)
